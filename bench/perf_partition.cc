@@ -3,16 +3,11 @@
 // 100k nodes, for shard counts 1/2/4/8 and both partition schemes.
 //
 // The questions, one sweep each:
-//   * BM_WholeGraphPower vs BM_PartitionedPower — the per-solve overhead
-//     of the block formulation (in-CSR pull + global folds) as shard
+//   * BM_WholeGraphPower vs BM_PartitionedPowerSliced — the per-solve
+//     overhead of the block formulation (in-CSR pull over per-shard
+//     transition slices + global folds, core/block_solver.h) as shard
 //     count grows; scores are bit-identical by contract, so this is a
-//     pure mechanics comparison. BM_PartitionedPower gathers each arc
-//     probability through the partition's in_arc_index permutation —
-//     the random-access pattern the slices were built to remove.
-//   * BM_PartitionedPowerSliced — the same sweep over materialized
-//     per-shard slices (core/transition_slices.h): the inner loop
-//     streams two contiguous arrays instead of gathering through the
-//     arc index. Same bits, different memory traffic.
+//     pure mechanics comparison.
 //   * BM_PartitionedPowerPooled — the sliced sweep fanned across an
 //     EngineRouter worker pool, i.e. what partitioned serving ships.
 //   * BM_SliceBuild / BM_SliceBuildLocal — the one-time slice
@@ -92,30 +87,6 @@ void BM_WholeGraphPower(benchmark::State& state) {
   state.counters["solver_iters"] = iterations;
 }
 BENCHMARK(BM_WholeGraphPower)->Arg(10000)->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_PartitionedPower(benchmark::State& state) {
-  const CsrGraph& graph = GraphOf(state.range(0));
-  const TransitionMatrix& transition = TransitionOf(graph);
-  const auto scheme = static_cast<PartitionScheme>(state.range(2));
-  auto partition = GraphPartition::Build(
-      graph, {.scheme = scheme,
-              .num_shards = static_cast<size_t>(state.range(1))});
-  D2PR_CHECK(partition.ok());
-  const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
-  for (auto _ : state) {
-    auto solved = SolvePagerankPartitioned(transition, *partition, teleport,
-                                           SolveOptions());
-    D2PR_CHECK(solved.ok());
-    benchmark::DoNotOptimize(solved->scores.data());
-  }
-  state.counters["boundary_frac"] = partition->BoundaryFraction();
-}
-BENCHMARK(BM_PartitionedPower)
-    ->ArgsProduct({{10000, 100000},
-                   {1, 2, 4, 8},
-                   {static_cast<int>(PartitionScheme::kRange),
-                    static_cast<int>(PartitionScheme::kHash)}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PartitionedPowerSliced(benchmark::State& state) {

@@ -1,9 +1,9 @@
 #include "core/block_solver.h"
 
-#include <cmath>
 #include <vector>
 
 #include "common/string_util.h"
+#include "core/sweep_kernel.h"
 #include "linalg/vec_ops.h"
 
 namespace d2pr {
@@ -21,30 +21,52 @@ void RunShards(const BlockParallelFor& parallel_for, size_t count,
   for (size_t i = 0; i < count; ++i) fn(i);
 }
 
-/// The single-graph solvers' shared validation plus the
-/// partition/transition agreement check the block solvers add.
-Status ValidateBlockInputs(const TransitionMatrix& transition,
+/// The single-graph solvers' shared validation plus the slice shape
+/// contract (GraphPartition::ValidateSlices).
+Status ValidateBlockInputs(const TransitionSlices& slices,
                            const GraphPartition& partition,
                            std::span<const double> teleport,
                            const PagerankOptions& options) {
   D2PR_RETURN_NOT_OK(ValidatePagerankOptions(options));
-  if (partition.num_nodes() != transition.num_nodes()) {
-    return Status::InvalidArgument(
-        StrCat("partition covers ", partition.num_nodes(),
-               " nodes but transition matrix has ", transition.num_nodes()));
-  }
-  return ValidateTeleportVector(teleport, transition.num_nodes());
-}
-
-/// Sliced-overload validation: option/teleport checks plus the slice
-/// shape contract (GraphPartition::ValidateSlices).
-Status ValidateBlockSliceInputs(const TransitionSlices& slices,
-                                const GraphPartition& partition,
-                                std::span<const double> teleport,
-                                const PagerankOptions& options) {
-  D2PR_RETURN_NOT_OK(ValidatePagerankOptions(options));
   D2PR_RETURN_NOT_OK(partition.ValidateSlices(slices));
   return ValidateTeleportVector(teleport, slices.num_nodes);
+}
+
+/// global[owned[k]] for every owned row k.
+template <typename T>
+std::vector<T> GatherOwned(std::span<const T> global,
+                           const std::vector<NodeId>& owned) {
+  std::vector<T> local(owned.size());
+  for (size_t k = 0; k < owned.size(); ++k) {
+    local[k] = global[static_cast<size_t>(owned[k])];
+  }
+  return local;
+}
+
+/// One shard's row-local sweep inputs for one solve.
+struct ShardRowInputs {
+  std::vector<double> teleport;
+  std::vector<uint8_t> dangling;
+
+  ShardRowInputs(const PartitionShard& shard, std::span<const double> t,
+                 const TransitionSlices& slices)
+      : teleport(GatherOwned(t, shard.owned)),
+        dangling(GatherOwned(std::span<const uint8_t>(slices.is_dangling),
+                             shard.owned)) {}
+
+  SweepRows Rows(const PartitionShard& shard, std::span<const double> probs,
+                 std::span<const NodeId> sources) const {
+    return {shard.in_offsets, sources, probs, teleport, dangling};
+  }
+};
+
+/// Dangling mass of `x`, folded over the ascending dangling list exactly
+/// as the reference solvers fold it.
+double DanglingMass(const TransitionSlices& slices,
+                    const std::vector<double>& x) {
+  double mass = 0.0;
+  for (NodeId v : slices.dangling) mass += x[static_cast<size_t>(v)];
+  return mass;
 }
 
 }  // namespace
@@ -64,93 +86,11 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling) {
 }
 
 Result<PagerankResult> SolvePagerankPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockInputs(transition, partition, teleport, options));
-  const NodeId n = transition.num_nodes();
-
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
-  const auto probs = transition.probs();
-  std::vector<double> current(teleport.begin(), teleport.end());
-  NormalizeL1(current);  // mirrors the reference's defensive normalize
-  std::vector<double> next(static_cast<size_t>(n), 0.0);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Dangling mass of the previous iterate, folded over the ascending
-    // dangling list exactly as the reference does. Known before the
-    // sweeps start, so each shard can finish its owned slice end-to-end.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) dangling_mass += current[static_cast<size_t>(v)];
-
-    // One block sweep: every shard folds each owned destination's in-row
-    // in ascending global source order — the accumulation order
-    // TransitionMatrix::Multiply produces — then applies the dangling
-    // policy and teleport blend element-wise. Shards write disjoint owned
-    // slices of `next` and read only the frozen `current`, so the sweeps
-    // compose in any order (or concurrently) without changing a bit.
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double value = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          value += current[static_cast<size_t>(
-                       shard.in_sources[static_cast<size_t>(idx)])] *
-                   probs[static_cast<size_t>(
-                       shard.in_arc_index[static_cast<size_t>(idx)])];
-        }
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            if (dangling_mass > 0.0) {
-              value += dangling_mass * teleport[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value += current[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        next[static_cast<size_t>(dst)] =
-            options.alpha * value +
-            (1.0 - options.alpha) * teleport[static_cast<size_t>(dst)];
-      }
-    });
-    if (options.dangling == DanglingPolicy::kRenormalize) {
-      NormalizeL1(next);
-    }
-
-    result.iterations = iter;
-    result.residual = DiffL1(next, current);
-    current.swap(next);
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(current);
-  return result;
-}
-
-Result<PagerankResult> SolvePagerankPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
   D2PR_RETURN_NOT_OK(
-      ValidateBlockSliceInputs(slices, partition, teleport, options));
+      ValidateBlockInputs(slices, partition, teleport, options));
   const NodeId n = slices.num_nodes;
 
   PagerankResult result;
@@ -163,50 +103,40 @@ Result<PagerankResult> SolvePagerankPartitioned(
   NormalizeL1(current);  // mirrors the reference's defensive normalize
   std::vector<double> next(static_cast<size_t>(n), 0.0);
 
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Same ascending dangling fold as the matrix overload (the slices
-    // carry the list so no TransitionMatrix is needed).
-    double dangling_mass = 0.0;
-    for (NodeId v : slices.dangling) {
-      dangling_mass += current[static_cast<size_t>(v)];
+  const size_t num_shards = partition.num_shards();
+  std::vector<ShardRowInputs> inputs;
+  inputs.reserve(num_shards);
+  std::vector<std::vector<double>> out(num_shards);
+  std::vector<std::vector<double>> previous(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    inputs.emplace_back(partition.shard(s), teleport, slices);
+    out[s].resize(partition.shard(s).owned.size());
+    if (options.dangling == DanglingPolicy::kSelfLoop) {
+      previous[s].resize(partition.shard(s).owned.size());
     }
+  }
 
-    // One block sweep, streaming form: the in-row fold is unchanged —
-    // ascending global source order, bitwise the matrix overload's sum —
-    // but the per-arc probability now comes off the shard's contiguous
-    // slice in lockstep with in_sources, so the two hot arrays advance
-    // sequentially instead of one of them gathering through the global
-    // arc index.
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    // Known before the sweeps start, so each shard can finish its owned
+    // slice end-to-end.
+    const SweepTerms terms{options.alpha, options.dangling,
+                           DanglingMass(slices, current)};
+
+    // One block sweep: every shard runs the power kernel with global
+    // source ids against the frozen `current`, then publishes its rows
+    // into disjoint entries of `next` — so the sweeps compose in any
+    // order (or concurrently) without changing a bit.
+    RunShards(parallel_for, num_shards, [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
-      const double* slice = slices.in_probs[s].data();
+      if (options.dangling == DanglingPolicy::kSelfLoop) {
+        for (size_t k = 0; k < shard.owned.size(); ++k) {
+          previous[s][k] = current[static_cast<size_t>(shard.owned[k])];
+        }
+      }
+      PowerSweep(inputs[s].Rows(shard, slices.in_probs[s], shard.in_sources),
+                 terms, current, previous[s], out[s]);
       for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double value = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          value += current[static_cast<size_t>(
-                       shard.in_sources[static_cast<size_t>(idx)])] *
-                   slice[static_cast<size_t>(idx)];
-        }
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            if (dangling_mass > 0.0) {
-              value += dangling_mass * teleport[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (slices.is_dangling[static_cast<size_t>(dst)]) {
-              value += current[static_cast<size_t>(dst)];
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        next[static_cast<size_t>(dst)] =
-            options.alpha * value +
-            (1.0 - options.alpha) * teleport[static_cast<size_t>(dst)];
+        next[static_cast<size_t>(shard.owned[k])] = out[s][k];
       }
     });
     if (options.dangling == DanglingPolicy::kRenormalize) {
@@ -227,13 +157,13 @@ Result<PagerankResult> SolvePagerankPartitioned(
 }
 
 Result<PagerankResult> SolveGaussSeidelPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
+    const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
     const BlockParallelFor& parallel_for) {
   D2PR_RETURN_NOT_OK(
-      ValidateBlockInputs(transition, partition, teleport, options));
+      ValidateBlockInputs(slices, partition, teleport, options));
   D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  const NodeId n = transition.num_nodes();
+  const NodeId n = slices.num_nodes;
 
   PagerankResult result;
   if (n == 0) {
@@ -241,146 +171,58 @@ Result<PagerankResult> SolveGaussSeidelPartitioned(
     return result;
   }
 
-  const auto probs = transition.probs();
-  const std::vector<NodeId> dangling = transition.DanglingNodes();
   std::vector<double> x(teleport.begin(), teleport.end());
-  std::vector<double> frozen(x);
-  std::vector<double> previous(x);
+  std::vector<double> next(static_cast<size_t>(n), 0.0);
+
+  // Each shard sweeps a row-local [owned | boundary] copy of the iterate
+  // through its source slots — the shard worker's layout.
+  const size_t num_shards = partition.num_shards();
+  std::vector<ShardRowInputs> inputs;
+  inputs.reserve(num_shards);
+  std::vector<std::vector<NodeId>> boundary(num_shards);
+  std::vector<std::vector<NodeId>> slots(num_shards);
+  std::vector<std::vector<double>> vals(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    inputs.emplace_back(partition.shard(s), teleport, slices);
+  }
+  RunShards(parallel_for, num_shards, [&](size_t s) {
+    const PartitionShard& shard = partition.shard(s);
+    boundary[s] = ShardBoundarySources(shard);
+    slots[s] = ShardSourceSlots(shard, boundary[s]);
+    vals[s].resize(shard.owned.size() + boundary[s].size());
+  });
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     // Lagged dangling mass, as in the single-graph Gauss-Seidel sweep.
-    double dangling_mass = 0.0;
-    for (NodeId v : dangling) dangling_mass += x[static_cast<size_t>(v)];
+    const SweepTerms terms{options.alpha, options.dangling,
+                           DanglingMass(slices, x)};
 
-    // Exchange step: publish the whole iterate; each shard reads remote
-    // slices from this frozen copy (block Jacobi across shards) while
-    // sweeping its own slice Gauss-Seidel style (owned sources read the
-    // in-place updated values).
-    frozen = x;
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
+    // One block sweep: every shard copies its owned and boundary values
+    // out of `x`, sweeps them Gauss-Seidel style (owned sources read the
+    // in-sweep updated values, boundary sources the copy — block Jacobi
+    // across shards), and publishes its rows into `next`. No shard writes
+    // `x`, so every shard's boundary copy is the sweep-start iterate.
+    RunShards(parallel_for, num_shards, [&](size_t s) {
       const PartitionShard& shard = partition.shard(s);
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double incoming = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          const NodeId src = shard.in_sources[static_cast<size_t>(idx)];
-          // Interior sources read the live (in-sweep updated) iterate,
-          // boundary sources the frozen exchange copy; the precomputed
-          // flag keeps ownership resolution out of the inner loop.
-          const double value = shard.in_interior[static_cast<size_t>(idx)]
-                                   ? x[static_cast<size_t>(src)]
-                                   : frozen[static_cast<size_t>(src)];
-          incoming +=
-              probs[static_cast<size_t>(
-                  shard.in_arc_index[static_cast<size_t>(idx)])] *
-              value;
-        }
-        double value = options.alpha * incoming +
-                       (1.0 - options.alpha) *
-                           teleport[static_cast<size_t>(dst)];
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            value += options.alpha * dangling_mass *
-                     teleport[static_cast<size_t>(dst)];
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (transition.IsDangling(dst)) {
-              value /= (1.0 - options.alpha);
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        x[static_cast<size_t>(dst)] = value;
+      const size_t num_owned = shard.owned.size();
+      std::vector<double>& v = vals[s];
+      for (size_t k = 0; k < num_owned; ++k) {
+        v[k] = x[static_cast<size_t>(shard.owned[k])];
+      }
+      for (size_t b = 0; b < boundary[s].size(); ++b) {
+        v[num_owned + b] = x[static_cast<size_t>(boundary[s][b])];
+      }
+      GaussSeidelSweep(inputs[s].Rows(shard, slices.in_probs[s], slots[s]),
+                       terms, v);
+      for (size_t k = 0; k < num_owned; ++k) {
+        next[static_cast<size_t>(shard.owned[k])] = v[k];
       }
     });
-    NormalizeL1(x);
+    NormalizeL1(next);
 
     result.iterations = iter;
-    result.residual = DiffL1(x, previous);
-    previous = x;
-    if (result.residual < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  result.scores = std::move(x);
-  return result;
-}
-
-Result<PagerankResult> SolveGaussSeidelPartitioned(
-    const TransitionSlices& slices, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for) {
-  D2PR_RETURN_NOT_OK(
-      ValidateBlockSliceInputs(slices, partition, teleport, options));
-  D2PR_RETURN_NOT_OK(ValidateBlockGaussSeidelPolicy(options.dangling));
-  const NodeId n = slices.num_nodes;
-
-  PagerankResult result;
-  if (n == 0) {
-    result.converged = true;
-    return result;
-  }
-
-  std::vector<double> x(teleport.begin(), teleport.end());
-  std::vector<double> frozen(x);
-  std::vector<double> previous(x);
-
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    // Lagged dangling mass, folded over the slices' ascending list.
-    double dangling_mass = 0.0;
-    for (NodeId v : slices.dangling) {
-      dangling_mass += x[static_cast<size_t>(v)];
-    }
-
-    // Exchange + sweep exactly as the matrix overload; the probability
-    // read streams off the shard's slice.
-    frozen = x;
-    RunShards(parallel_for, partition.num_shards(), [&](size_t s) {
-      const PartitionShard& shard = partition.shard(s);
-      const double* slice = slices.in_probs[s].data();
-      for (size_t k = 0; k < shard.owned.size(); ++k) {
-        const NodeId dst = shard.owned[k];
-        double incoming = 0.0;
-        const EdgeIndex begin = shard.in_offsets[k];
-        const EdgeIndex end = shard.in_offsets[k + 1];
-        for (EdgeIndex idx = begin; idx < end; ++idx) {
-          const NodeId src = shard.in_sources[static_cast<size_t>(idx)];
-          // Interior sources read the live (in-sweep updated) iterate,
-          // boundary sources the frozen exchange copy.
-          const double value = shard.in_interior[static_cast<size_t>(idx)]
-                                   ? x[static_cast<size_t>(src)]
-                                   : frozen[static_cast<size_t>(src)];
-          incoming += slice[static_cast<size_t>(idx)] * value;
-        }
-        double value = options.alpha * incoming +
-                       (1.0 - options.alpha) *
-                           teleport[static_cast<size_t>(dst)];
-        switch (options.dangling) {
-          case DanglingPolicy::kTeleport:
-            value += options.alpha * dangling_mass *
-                     teleport[static_cast<size_t>(dst)];
-            break;
-          case DanglingPolicy::kSelfLoop:
-            if (slices.is_dangling[static_cast<size_t>(dst)]) {
-              value /= (1.0 - options.alpha);
-            }
-            break;
-          case DanglingPolicy::kRenormalize:
-            break;
-        }
-        x[static_cast<size_t>(dst)] = value;
-      }
-    });
-    NormalizeL1(x);
-
-    result.iterations = iter;
-    result.residual = DiffL1(x, previous);
-    previous = x;
+    result.residual = DiffL1(next, x);
+    x.swap(next);
     if (result.residual < options.tolerance) {
       result.converged = true;
       break;

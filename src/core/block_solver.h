@@ -1,13 +1,14 @@
 // Block-iterative PageRank solvers over a vertex-partitioned graph.
 //
-// Both solvers iterate each shard's owned slice against a shared
-// TransitionMatrix and exchange boundary mass between sweeps; dangling
-// mass and teleportation are handled *globally*, exactly matching the
-// single-graph solvers in core/pagerank.h and core/gauss_seidel.h (which
-// themselves match core/teleport.h semantics). In-process, the "exchange"
-// is each shard publishing its owned slice of the iterate and pulling
-// remote values through the partition's boundary in-arc index — the data
-// flow a multi-machine deployment would put on the wire.
+// Both solvers sweep each shard's owned rows against the shard's
+// contiguous transition slice (core/transition_slices.h) and exchange
+// boundary values between sweeps; dangling mass and teleportation are
+// handled *globally*, exactly matching the single-graph solvers in
+// core/pagerank.h and core/gauss_seidel.h (which themselves match
+// core/teleport.h semantics). Each shard sweep is one call of the shared
+// row kernels in core/sweep_kernel.h — the same kernels the distributed
+// shard worker (dist/shard_worker.h) runs, so the in-process and
+// multi-process solves cannot drift apart.
 //
 // Parity contracts (enforced by tests/partition_parity_test.cc and
 // tests/partition_fuzz_test.cc):
@@ -18,34 +19,28 @@
 //     reference Multiply accumulates into out[j] in ascending global
 //     source order (left-associated, from +0.0), and the partition's
 //     in-CSR folds each owned destination's contributions in exactly that
-//     order, with bitwise-equal per-arc products (the probabilities are
-//     literally the same TransitionMatrix entries). Dangling mass folds
-//     over the same ascending dangling list, the teleport blend is
-//     element-wise, and the residual is the same full-vector DiffL1 — so
-//     every float the reference computes, the block solve recomputes.
+//     order, with bitwise-equal per-arc products (a slice holds the
+//     TransitionMatrix entries verbatim). Dangling mass folds over the
+//     same ascending dangling list, the teleport blend is element-wise,
+//     and the residual is the same full-vector DiffL1 — so every float
+//     the reference computes, the block solve recomputes.
 //   * SolveGaussSeidelPartitioned is a genuine *block* method — classic
 //     Gauss-Seidel within a shard, Jacobi across shards (remote values
 //     frozen at sweep start) — so its iterate path differs from the
 //     single-graph Gauss-Seidel sweep, but both contract to the same
 //     fixed point: with tolerance <= 1e-11 the solutions agree within
-//     1e-9 (the bound the parity suite asserts).
+//     1e-9 (the bound the parity suite asserts). With one shard the
+//     in-shard order IS the global order and the two are bitwise equal.
 //
-// Shard sweeps write disjoint owned slices and read the frozen previous
-// iterate, so they are data-race free and order-independent; pass a
+// Power sweeps read the frozen global iterate by global source id; a
+// Gauss-Seidel shard sweeps a private [owned | boundary] copy of it
+// through its source slots (graph/partition.h). Either way shard sweeps
+// write disjoint owned entries of the next iterate and read only the
+// previous one, so they are data-race free and order-independent; pass a
 // `parallel_for` to run them concurrently (serve/EngineRouter passes its
 // worker pool). The global folds (dangling mass, normalization, residual)
 // stay sequential on the calling thread — they are O(n) and their
 // summation order is part of the bit-parity contract.
-//
-// Each solver has two overloads. The TransitionMatrix forms gather each
-// arc's probability through the partition's global arc index
-// (probs[in_arc_index[idx]]) — convenient, but the random stride defeats
-// the prefetcher at scale (~65% overhead at 100k nodes). The
-// TransitionSlices forms stream a per-shard contiguous prob slice
-// (core/transition_slices.h) in lockstep with the in-CSR instead; since
-// a slice holds bitwise the same values at the same fold positions, the
-// sliced solves inherit the parity contracts verbatim (block power stays
-// bit-identical to SolvePagerank, GS within tolerance).
 
 #ifndef D2PR_CORE_BLOCK_SOLVER_H_
 #define D2PR_CORE_BLOCK_SOLVER_H_
@@ -55,7 +50,6 @@
 
 #include "common/result.h"
 #include "core/pagerank.h"
-#include "core/transition.h"
 #include "graph/partition.h"
 
 namespace d2pr {
@@ -75,23 +69,13 @@ Status ValidateBlockGaussSeidelPolicy(DanglingPolicy dangling);
 
 /// \brief Block power iteration: bit-identical to
 /// SolvePagerank(graph, transition, teleport, options) for any partition
-/// of the same graph.
+/// of the same graph, given slices of that transition.
 ///
 /// Requirements mirror SolvePagerank (alpha in [0, 1), tolerance > 0,
-/// max_iterations >= 1, teleport a distribution over the nodes); the
-/// partition must cover the same node count as the transition.
-Result<PagerankResult> SolvePagerankPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for = {});
-
-/// \brief Sliced block power iteration: identical semantics (and bits) to
-/// the TransitionMatrix overload, but each shard streams its contiguous
-/// in-CSR-aligned prob slice instead of gathering through the global arc
-/// index. Requires `slices` shaped for `partition`
-/// (GraphPartition::ValidateSlices) holding valid row-stochastic
-/// probabilities — both construction paths in core/transition_slices.h
-/// guarantee this.
+/// max_iterations >= 1, teleport a distribution over the nodes), plus
+/// `slices` shaped for `partition` (GraphPartition::ValidateSlices)
+/// holding valid row-stochastic probabilities — both construction paths
+/// in core/transition_slices.h guarantee this.
 Result<PagerankResult> SolvePagerankPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,
@@ -111,15 +95,6 @@ Result<PagerankResult> SolvePagerankPartitioned(
 /// single-graph reference (observed ~1e-3), so the combination fails
 /// loudly instead. Use kTeleport (identical when no node dangles) or
 /// block power iteration, whose kRenormalize parity is bitwise.
-Result<PagerankResult> SolveGaussSeidelPartitioned(
-    const TransitionMatrix& transition, const GraphPartition& partition,
-    std::span<const double> teleport, const PagerankOptions& options,
-    const BlockParallelFor& parallel_for = {});
-
-/// \brief Sliced block Gauss-Seidel: same method and policy rules as the
-/// TransitionMatrix overload (kRenormalize rejected), reading each
-/// shard's contiguous prob slice and the slices' dangling view instead of
-/// a matrix.
 Result<PagerankResult> SolveGaussSeidelPartitioned(
     const TransitionSlices& slices, const GraphPartition& partition,
     std::span<const double> teleport, const PagerankOptions& options,

@@ -299,6 +299,8 @@ Result<std::vector<double>> BuildShardSliceFromCut(
 
   // Pass 2 — stream the in-CSR; the kernel calls and operand values are
   // the ones BuildTransitionSlicesLocal's pass 2 would produce.
+  const std::vector<NodeId> slots =
+      ShardSourceSlots(shard, cut.boundary_sources);
   std::vector<double> slice(shard.in_sources.size());
   for (size_t k = 0; k < num_owned; ++k) {
     const double dst_exponent_input =
@@ -306,19 +308,7 @@ Result<std::vector<double>> BuildShardSliceFromCut(
     const size_t begin = static_cast<size_t>(shard.in_offsets[k]);
     const size_t end = static_cast<size_t>(shard.in_offsets[k + 1]);
     for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId src = shard.in_sources[idx];
-      size_t slot;
-      if (shard.in_interior[idx]) {
-        slot = static_cast<size_t>(
-            std::lower_bound(shard.owned.begin(), shard.owned.end(), src) -
-            shard.owned.begin());
-      } else {
-        slot = num_owned +
-               static_cast<size_t>(std::lower_bound(
-                                       cut.boundary_sources.begin(),
-                                       cut.boundary_sources.end(), src) -
-                                   cut.boundary_sources.begin());
-      }
+      const size_t slot = static_cast<size_t>(slots[idx]);
       const double numerator =
           uniform_row[slot]
               ? 1.0

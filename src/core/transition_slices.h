@@ -3,12 +3,12 @@
 // in the shard's in-CSR order (graph/partition.h declares the
 // TransitionSlices container; this header owns its construction).
 //
-// Why slices exist: the original block sweep read
-// `probs[shard.in_arc_index[idx]]` — a gather through the O(|E|) global
-// arc index whose random stride defeats the hardware prefetcher once the
-// arc arrays leave L2 (~65% overhead at 100k nodes,
-// results/partition_bench.md). A slice turns that gather into a
-// sequential read, restoring streaming (and SIMD-friendly) inner loops.
+// Why slices exist: a slice is the `probs` operand of the shared row
+// kernels (core/sweep_kernel.h), read in lockstep with the in-CSR
+// sources. Gathering `probs[shard.in_arc_index[idx]]` through the O(|E|)
+// global arc index instead has a random stride that defeats the hardware
+// prefetcher once the arc arrays leave L2 (2-3x slower at 100k nodes);
+// the slice makes that read sequential.
 //
 // Two construction paths, bitwise identical by construction:
 //
@@ -32,7 +32,7 @@
 //     that ride with it), never transition state.
 //
 // Both paths also carry the dangling view (ascending list + bitmap) so
-// the sliced block solvers never need a TransitionMatrix at all.
+// the block solvers never need a TransitionMatrix at all.
 
 #ifndef D2PR_CORE_TRANSITION_SLICES_H_
 #define D2PR_CORE_TRANSITION_SLICES_H_

@@ -66,8 +66,9 @@ Result<ShardFrame> SocketShardChannel::Call(const ShardFrame& request,
     }
     return Status::OK();
   };
-  const std::vector<uint8_t> frame =
-      EncodeFrame(request.type, request.request_id, request.payload);
+  std::vector<uint8_t> frame;
+  D2PR_ASSIGN_OR_RETURN(
+      frame, EncodeFrame(request.type, request.request_id, request.payload));
   D2PR_RETURN_NOT_OK(socket_.SendAll(frame.data(), frame.size()));
 
   // Read frames until one matches the request id. Older ids are stale

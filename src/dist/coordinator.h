@@ -6,9 +6,9 @@
 // global fold itself, in exactly the reference's order: the dangling
 // mass folds over the merged ascending dangling list, the L1
 // normalization and the DiffL1 residual run over the assembled full
-// vector, and the teleport blend happens shard-side with the same
-// element order the in-process sweep uses. Shards only ever compute
-// their owned slices — so the distributed power solve is BITWISE
+// vector. Shards only ever compute their owned slices, each sweep one
+// call of the row kernels the in-process solvers call
+// (core/sweep_kernel.h) — so the distributed power solve is BITWISE
 // identical to SolvePagerankPartitioned (scores, iteration count, final
 // residual), and block Gauss-Seidel is bitwise its in-process form
 // (tests/dist_parity_test.cc). The one subtlety is global

@@ -102,8 +102,15 @@ void ShardServer::ServeConnection(
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
-    const std::vector<uint8_t> frame =
+    Result<std::vector<uint8_t>> encoded =
         EncodeFrame(reply->type, reply->request_id, reply->payload);
+    if (!encoded.ok()) {
+      // A reply too large for one frame: the coordinator gets the
+      // encoder's status instead, and the connection keeps serving.
+      encoded = EncodeFrame(FrameType::kStatus, reply->request_id,
+                            EncodeStatusPayload(encoded.status()));
+    }
+    const std::vector<uint8_t>& frame = encoded.value();
     if (!connection->socket.SendAll(frame.data(), frame.size()).ok()) {
       break;
     }

@@ -11,6 +11,7 @@
 #include "api/rank_request.h"
 #include "common/string_util.h"
 #include "core/block_solver.h"
+#include "core/sweep_kernel.h"
 #include "core/transition_slices.h"
 #include "graph/graph_fingerprint.h"
 #include "net/shard_wire.h"
@@ -144,32 +145,8 @@ void ShardWorker::InitDerivedIndexes(const PartitionShard& shard) {
     owned_dangling_[static_cast<size_t>(it - shard.owned.begin())] = 1;
   }
 
-  // Distinct boundary sources, ascending — the published order of every
-  // sweep request's boundary vector.
-  std::vector<NodeId> boundary;
-  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-    if (!shard.in_interior[idx]) boundary.push_back(shard.in_sources[idx]);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
-  boundary_sources_ = std::move(boundary);
-
-  // Slot of each in-CSR position in the [owned | boundary] scratch.
-  src_slot_.resize(shard.in_sources.size());
-  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-    const NodeId src = shard.in_sources[idx];
-    if (shard.in_interior[idx]) {
-      const auto it =
-          std::lower_bound(shard.owned.begin(), shard.owned.end(), src);
-      src_slot_[idx] = static_cast<size_t>(it - shard.owned.begin());
-    } else {
-      const auto it = std::lower_bound(boundary_sources_.begin(),
-                                       boundary_sources_.end(), src);
-      src_slot_[idx] = shard.owned.size() +
-                       static_cast<size_t>(it - boundary_sources_.begin());
-    }
-  }
+  boundary_sources_ = ShardBoundarySources(shard);
+  src_slot_ = ShardSourceSlots(shard, boundary_sources_);
 }
 
 ShardFrame ShardWorker::StatusReply(uint64_t request_id,
@@ -437,71 +414,21 @@ void ShardWorker::ExecuteSweep(double dangling_mass, bool has_rescale,
   }
   std::copy(boundary.begin(), boundary.end(), vals_.begin() + num_owned);
 
-  // `next_` keeps the pre-sweep owned slice afterwards (for the advisory
-  // residual partial); during a power sweep it holds the new values.
-  const double* slice = probs_.data();
+  // `next_` keeps the pre-sweep owned slice afterwards, for the
+  // advisory residual partial.
+  const SweepRows rows{shard_.in_offsets, src_slot_, probs_, teleport_,
+                       owned_dangling_};
+  const SweepTerms terms{alpha_, dangling_policy_, dangling_mass};
+  const std::span<double> owned(vals_.data(), num_owned);
   if (method_ == static_cast<uint32_t>(SolverMethod::kPower)) {
-    // Line-for-line the power sweep of SolvePagerankPartitioned's sliced
-    // overload, with current[src] read through the slot map.
-    for (size_t k = 0; k < num_owned; ++k) {
-      double value = 0.0;
-      const EdgeIndex begin = shard_.in_offsets[k];
-      const EdgeIndex end = shard_.in_offsets[k + 1];
-      for (EdgeIndex idx = begin; idx < end; ++idx) {
-        value += vals_[src_slot_[static_cast<size_t>(idx)]] *
-                 slice[static_cast<size_t>(idx)];
-      }
-      switch (dangling_policy_) {
-        case DanglingPolicy::kTeleport:
-          if (dangling_mass > 0.0) {
-            value += dangling_mass * teleport_[k];
-          }
-          break;
-        case DanglingPolicy::kSelfLoop:
-          if (owned_dangling_[k]) {
-            value += vals_[k];
-          }
-          break;
-        case DanglingPolicy::kRenormalize:
-          break;
-      }
-      next_[k] = alpha_ * value + (1.0 - alpha_) * teleport_[k];
-    }
-    // Swap the new slice into the retained prefix; next_ now holds the
-    // previous values for the residual partial.
-    for (size_t k = 0; k < num_owned; ++k) std::swap(vals_[k], next_[k]);
+    PowerSweep(rows, terms, vals_, owned, next_);
+    std::swap_ranges(owned.begin(), owned.end(), next_.begin());
     return;
   }
-
-  // Block Gauss-Seidel: in-place on the owned prefix — interior sources
-  // read live (possibly already-updated) slots, boundary slots hold the
-  // coordinator's frozen exchange copy. Same arithmetic as
-  // SolveGaussSeidelPartitioned's sliced overload.
-  std::copy(vals_.begin(), vals_.begin() + static_cast<long>(num_owned),
-            next_.begin());
-  for (size_t k = 0; k < num_owned; ++k) {
-    double incoming = 0.0;
-    const EdgeIndex begin = shard_.in_offsets[k];
-    const EdgeIndex end = shard_.in_offsets[k + 1];
-    for (EdgeIndex idx = begin; idx < end; ++idx) {
-      incoming += slice[static_cast<size_t>(idx)] *
-                  vals_[src_slot_[static_cast<size_t>(idx)]];
-    }
-    double value = alpha_ * incoming + (1.0 - alpha_) * teleport_[k];
-    switch (dangling_policy_) {
-      case DanglingPolicy::kTeleport:
-        value += alpha_ * dangling_mass * teleport_[k];
-        break;
-      case DanglingPolicy::kSelfLoop:
-        if (owned_dangling_[k]) {
-          value /= (1.0 - alpha_);
-        }
-        break;
-      case DanglingPolicy::kRenormalize:
-        break;
-    }
-    vals_[k] = value;
-  }
+  // Block Gauss-Seidel in place on the owned prefix; the boundary slots
+  // hold the coordinator's frozen exchange copy.
+  std::copy(owned.begin(), owned.end(), next_.begin());
+  GaussSeidelSweep(rows, terms, vals_);
 }
 
 ShardFrame ShardWorker::HandleSolveEnd(const ShardFrame& request,

@@ -20,12 +20,12 @@
 // request carries only the O(boundary) remote values, the globally
 // folded dangling mass, and — after iterations the coordinator
 // L1-normalized globally — the exact 1/norm scalar to replay on the
-// retained slice. The sweep arithmetic is lifted line-for-line from
-// core/block_solver.cc: same fold order (ascending global source within
-// each owned row, owned rows in ascending order), same policy terms,
-// same teleport blend — which is what makes the distributed power solve
-// bitwise identical to SolvePagerankPartitioned and block Gauss-Seidel
-// identical to its in-process form (tests/dist_parity_test.cc).
+// retained slice. Each sweep is one call of the shared row kernels in
+// core/sweep_kernel.h — the same calls core/block_solver.cc makes, over
+// the same [owned | boundary] slot layout its Gauss-Seidel uses — which
+// is what makes the distributed power solve bitwise identical to
+// SolvePagerankPartitioned and block Gauss-Seidel identical to its
+// in-process form (tests/dist_parity_test.cc).
 //
 // Handshake rejections are deliberately distinct so a mis-wired cluster
 // diagnoses itself from status codes alone:
@@ -160,8 +160,8 @@ class ShardWorker {
   ShardFrame HandleSweep(const ShardFrame& request, uint64_t session_id);
   ShardFrame HandleSolveEnd(const ShardFrame& request, uint64_t session_id);
 
-  /// Executes one sweep over the retained slice (see the .cc for the
-  /// line-for-line correspondence with core/block_solver.cc).
+  /// Executes one sweep over the retained slice through the shared
+  /// kernels (core/sweep_kernel.h).
   void ExecuteSweep(double dangling_mass, bool has_rescale, double rescale,
                     const std::vector<double>& boundary);
 
@@ -188,10 +188,8 @@ class ShardWorker {
   /// Distinct boundary sources, ascending global ids (the handshake ack
   /// publishes this; sweep-request boundary vectors use this order).
   std::vector<NodeId> boundary_sources_;
-  /// Scratch slot of each in-CSR position: local owned index, or
-  /// num_owned + boundary index. Precomputed so the sweep's inner loop
-  /// never searches.
-  std::vector<size_t> src_slot_;
+  /// Slot of each in-CSR position in vals_ (ShardSourceSlots).
+  std::vector<NodeId> src_slot_;
 
   mutable std::mutex mu_;
   /// Session currently claiming the shard; 0 = unclaimed.

@@ -1,5 +1,7 @@
 #include "graph/partition.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace d2pr {
@@ -143,6 +145,51 @@ Result<GraphPartition> GraphPartition::Build(const CsrGraph& graph,
     partition.boundary_arcs_ += shard.boundary_in_arcs;
   }
   return partition;
+}
+
+std::vector<NodeId> ShardBoundarySources(const PartitionShard& shard) {
+  // Mark, then collect in id order: O(arcs + max id), no sort.
+  NodeId max_id = -1;
+  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
+    if (!shard.in_interior[idx]) {
+      max_id = std::max(max_id, shard.in_sources[idx]);
+    }
+  }
+  std::vector<uint8_t> is_boundary(static_cast<size_t>(max_id + 1), 0);
+  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
+    if (!shard.in_interior[idx]) {
+      is_boundary[static_cast<size_t>(shard.in_sources[idx])] = 1;
+    }
+  }
+  std::vector<NodeId> boundary;
+  for (NodeId v = 0; v <= max_id; ++v) {
+    if (is_boundary[static_cast<size_t>(v)]) boundary.push_back(v);
+  }
+  return boundary;
+}
+
+std::vector<NodeId> ShardSourceSlots(const PartitionShard& shard,
+                                     std::span<const NodeId> boundary_sources) {
+  // A dense id -> slot map over every id the in-CSR can name: O(arcs +
+  // max id) instead of a binary search per arc.
+  const size_t num_owned = shard.owned.size();
+  NodeId max_id = shard.owned.empty() ? -1 : shard.owned.back();
+  if (!boundary_sources.empty()) {
+    max_id = std::max(max_id, boundary_sources.back());
+  }
+  std::vector<NodeId> slot_of(static_cast<size_t>(max_id + 1), 0);
+  for (size_t k = 0; k < num_owned; ++k) {
+    slot_of[static_cast<size_t>(shard.owned[k])] = static_cast<NodeId>(k);
+  }
+  for (size_t b = 0; b < boundary_sources.size(); ++b) {
+    slot_of[static_cast<size_t>(boundary_sources[b])] =
+        static_cast<NodeId>(num_owned + b);
+  }
+  std::vector<NodeId> slots(shard.in_sources.size());
+  for (size_t idx = 0; idx < slots.size(); ++idx) {
+    slots[idx] = slot_of[static_cast<size_t>(shard.in_sources[idx])];
+  }
+  return slots;
 }
 
 size_t GraphPartition::OwnerOf(NodeId node) const {

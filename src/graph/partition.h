@@ -48,6 +48,7 @@
 #define D2PR_GRAPH_PARTITION_H_
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,9 +127,8 @@ struct PartitionShard {
   /// probs()) of the forward arc source -> owned destination.
   std::vector<EdgeIndex> in_arc_index;
   /// 1 when the arc's source is owned by this shard, 0 when it crosses
-  /// the boundary. Precomputed so per-sweep consumers (block
-  /// Gauss-Seidel chooses live vs frozen values by this bit) never pay
-  /// an ownership lookup in their inner loop.
+  /// the boundary. Precomputed so ShardBoundarySources (below) never
+  /// pays an ownership lookup per arc.
   std::vector<uint8_t> in_interior;
 
   // --- exchange accounting ---
@@ -149,17 +149,29 @@ struct PartitionShard {
   }
 };
 
+/// \brief The distinct in-CSR sources of `shard` that another shard owns,
+/// ascending global ids: the order a shard's boundary values travel in
+/// (the handshake ack's list, a cut file's boundary section).
+std::vector<NodeId> ShardBoundarySources(const PartitionShard& shard);
+
+/// \brief Slot of each in-CSR position of `shard` in the row-local
+/// [owned | boundary] layout: the source's local owned index, or
+/// owned.size() + its index in `boundary_sources` (which must be
+/// ShardBoundarySources of the same shard). The sweep kernels
+/// (core/sweep_kernel.h) read a shard's values through these slots.
+std::vector<NodeId> ShardSourceSlots(const PartitionShard& shard,
+                                     std::span<const NodeId> boundary_sources);
+
 /// \brief Per-shard contiguous transition-probability slices, aligned
 /// position-for-position with each shard's in-CSR.
 ///
 /// in_probs[s][idx] is the probability of the arc a shard's pull sweep
 /// reads at in-CSR position idx — the same value as
 /// TransitionMatrix::probs()[shard.in_arc_index[idx]], but laid out so
-/// the block solvers' inner loops stream it sequentially instead of
-/// gathering through the O(|E|) global arc index (the indirection that
-/// costs ~65% at 100k nodes; see results/partition_bench.md). The
-/// dangling view (bitmap + ascending list) rides along because the
-/// sliced solvers never see a TransitionMatrix at all.
+/// the sweep kernels (core/sweep_kernel.h) stream it sequentially instead
+/// of gathering through the O(|E|) global arc index. The dangling view
+/// (bitmap + ascending list) rides along because the block solvers never
+/// see a TransitionMatrix at all.
 ///
 /// Built by core/transition_slices.h, either by slicing a resolved
 /// whole-graph matrix or locally from each shard's rows plus an O(|V|)
@@ -196,7 +208,7 @@ class GraphPartition {
 
   /// OK iff `slices` is shaped for this partition: matching node count,
   /// one prob slice per shard, each sized to that shard's in-CSR, and a
-  /// node-sized dangling bitmap. The sliced block solvers call this
+  /// node-sized dangling bitmap. The block solvers call this
   /// before trusting the slice layout.
   Status ValidateSlices(const TransitionSlices& slices) const;
 

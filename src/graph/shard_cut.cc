@@ -276,15 +276,8 @@ Status SaveShardCut(const CsrGraph& graph, const GraphPartition& partition,
   }
   const bool weighted = graph.weighted();
 
-  // Boundary sources: distinct non-interior in-CSR sources, ascending —
-  // the same derivation ShardWorker publishes in its handshake ack.
-  std::vector<NodeId> boundary;
-  for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-    if (!shard.in_interior[idx]) boundary.push_back(shard.in_sources[idx]);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  boundary.erase(std::unique(boundary.begin(), boundary.end()),
-                 boundary.end());
+  // The list ShardWorker publishes in its handshake ack.
+  const std::vector<NodeId> boundary = ShardBoundarySources(shard);
 
   // Ghost rows: each boundary source's full out-row, in boundary order.
   std::vector<EdgeIndex> ghost_offsets;
@@ -616,17 +609,8 @@ Result<ShardCut> LoadShardCut(const std::string& path) {
   }
 
   // Boundary list: must equal the derivation from the in-CSR exactly.
-  {
-    std::vector<NodeId> derived;
-    for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
-      if (!shard.in_interior[idx]) derived.push_back(shard.in_sources[idx]);
-    }
-    std::sort(derived.begin(), derived.end());
-    derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
-    if (derived != cut.boundary_sources) {
-      return Corrupt(path,
-                     "boundary-source list disagrees with the in-CSR");
-    }
+  if (ShardBoundarySources(shard) != cut.boundary_sources) {
+    return Corrupt(path, "boundary-source list disagrees with the in-CSR");
   }
 
   // Ghost rows: one non-empty ascending in-range row per boundary source

@@ -35,7 +35,8 @@ Result<RpcClient::RawFrame> RpcClient::ReadFrame() {
 Result<RpcClient::RawFrame> RpcClient::Call(FrameType type,
                                             std::vector<uint8_t> payload) {
   const uint64_t request_id = next_request_id_++;
-  const std::vector<uint8_t> frame = EncodeFrame(type, request_id, payload);
+  std::vector<uint8_t> frame;
+  D2PR_ASSIGN_OR_RETURN(frame, EncodeFrame(type, request_id, payload));
   D2PR_RETURN_NOT_OK(socket_.SendAll(frame.data(), frame.size()));
   auto reply = ReadFrame();
   if (!reply.ok()) return reply.status();

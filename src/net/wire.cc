@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/binary_io.h"
-#include "common/check.h"
 #include "common/string_util.h"
 #include "net/wire_internal.h"
 
@@ -26,10 +25,13 @@ uint16_t ReadU16(const uint8_t* p) {
 
 }  // namespace
 
-std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
-                                 std::span<const uint8_t> payload) {
-  D2PR_CHECK(payload.size() <= kMaxPayloadBytes)
-      << "frame payload exceeds kMaxPayloadBytes";
+Result<std::vector<uint8_t>> EncodeFrame(FrameType type, uint64_t request_id,
+                                         std::span<const uint8_t> payload) {
+  if (payload.size() > kMaxPayloadBytes) {
+    return Status::OutOfRange(StrCat("frame payload of ", payload.size(),
+                                     " bytes exceeds the ", kMaxPayloadBytes,
+                                     "-byte limit"));
+  }
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size());
   AppendU32(out, static_cast<uint32_t>(payload.size()));

@@ -117,10 +117,12 @@ struct ServerInfo {
 };
 
 /// \brief Assembles a complete frame (header + payload) ready to write.
-/// D2PR_CHECKs that `payload` fits kMaxPayloadBytes — encoders below
-/// cannot produce an oversize payload from valid inputs.
-std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
-                                 std::span<const uint8_t> payload);
+/// OutOfRange when `payload` exceeds kMaxPayloadBytes: a valid request
+/// can produce such a payload (an exact response over more than ~8.39M
+/// nodes), so senders answer with a status instead of a frame no
+/// receiver would accept.
+Result<std::vector<uint8_t>> EncodeFrame(FrameType type, uint64_t request_id,
+                                         std::span<const uint8_t> payload);
 
 /// \brief Validates and decodes the fixed header at `bytes` (which must
 /// hold at least kFrameHeaderBytes). InvalidArgument on short input, bad

@@ -111,11 +111,11 @@ TEST(SocketChannelDeadlineTest, StaleRepliesAreDrainedWithinTheBudget) {
     const std::vector<uint8_t> payload = {9};
     for (uint64_t stale_id = 1; stale_id <= 3; ++stale_id) {
       const auto frame =
-          EncodeFrame(FrameType::kStatus, stale_id, payload);
+          EncodeFrame(FrameType::kStatus, stale_id, payload).value();
       ASSERT_TRUE(socket->SendAll(frame.data(), frame.size()).ok());
     }
     const auto real =
-        EncodeFrame(FrameType::kSweepResponse, 50, payload);
+        EncodeFrame(FrameType::kSweepResponse, 50, payload).value();
     ASSERT_TRUE(socket->SendAll(real.data(), real.size()).ok());
   });
 
@@ -144,7 +144,7 @@ TEST(SocketChannelDeadlineTest, DuplicateStormCannotExtendTheBudget) {
     const std::vector<uint8_t> payload = {9};
     for (uint64_t stale_id = 1; stale_id <= 60; ++stale_id) {
       const auto frame =
-          EncodeFrame(FrameType::kStatus, stale_id, payload);
+          EncodeFrame(FrameType::kStatus, stale_id, payload).value();
       if (!socket->SendAll(frame.data(), frame.size()).ok()) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
@@ -179,7 +179,7 @@ TEST(SocketChannelDeadlineTest, ZeroMeansNoDeadline) {
     ASSERT_TRUE(ReadFrame(*socket));
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
     const std::vector<uint8_t> payload = {9};
-    const auto frame = EncodeFrame(FrameType::kSweepResponse, 5, payload);
+    const auto frame = EncodeFrame(FrameType::kSweepResponse, 5, payload).value();
     ASSERT_TRUE(socket->SendAll(frame.data(), frame.size()).ok());
   });
 
@@ -200,7 +200,7 @@ TEST(SocketChannelDeadlineTest, FutureRequestIdIsAProtocolError) {
     ASSERT_TRUE(socket.ok());
     ASSERT_TRUE(ReadFrame(*socket));
     const std::vector<uint8_t> payload = {9};
-    const auto frame = EncodeFrame(FrameType::kStatus, 9999, payload);
+    const auto frame = EncodeFrame(FrameType::kStatus, 9999, payload).value();
     ASSERT_TRUE(socket->SendAll(frame.data(), frame.size()).ok());
   });
 

@@ -5,16 +5,20 @@
 // SolveGaussSeidelPartitioned — across both partition schemes, shard
 // counts {1, 2, 4, 8}, every dangling policy, and a 25-graph seeded fuzz
 // over the same graph family partition_fuzz_test.cc proves the
-// in-process solvers on.
+// in-process solvers on. Because the worker and the in-process block
+// solver run the same sweep kernel, the power grid is also held memcmp-
+// equal to the whole-graph SolvePagerank, an independent referee.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/block_solver.h"
+#include "core/pagerank.h"
 #include "core/teleport.h"
 #include "core/transition_slices.h"
 #include "dist/coordinator.h"
@@ -70,6 +74,8 @@ TEST(DistParityTest, PowerBitwiseAcrossSchemesShardsAndPolicies) {
   auto graph = BarabasiAlbert(300, 3, &rng);
   ASSERT_TRUE(graph.ok());
   const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  auto transition = TransitionMatrix::Build(*graph, {});
+  ASSERT_TRUE(transition.ok());
 
   for (PartitionScheme scheme :
        {PartitionScheme::kRange, PartitionScheme::kHash}) {
@@ -100,6 +106,18 @@ TEST(DistParityTest, PowerBitwiseAcrossSchemesShardsAndPolicies) {
                            teleport, options);
         ASSERT_TRUE(reference.ok());
         ExpectBitwiseEqual(*distributed, *reference);
+
+        // The block solve and the worker share one sweep kernel, so also
+        // hold both to the whole-graph scatter solver, which shares none.
+        auto whole = SolvePagerank(*graph, *transition, teleport, options);
+        ASSERT_TRUE(whole.ok());
+        ASSERT_EQ(distributed->scores.size(), whole->scores.size());
+        EXPECT_EQ(std::memcmp(distributed->scores.data(),
+                              whole->scores.data(),
+                              whole->scores.size() * sizeof(double)),
+                  0);
+        EXPECT_EQ(distributed->iterations, whole->iterations);
+        EXPECT_EQ(distributed->residual, whole->residual);
       }
     }
   }

@@ -357,7 +357,8 @@ TEST(NetServerTest, SaturationShedsUnavailableWhileAdmittedWorkCompletes) {
   WireRankRequest wire;
   wire.request = other;
   const std::vector<uint8_t> frame = EncodeFrame(
-      FrameType::kRankRequest, /*request_id=*/77, EncodeRankRequest(wire));
+      FrameType::kRankRequest, /*request_id=*/77, EncodeRankRequest(wire))
+      .value();
   ASSERT_TRUE(shed_client.SendRaw(frame.data(), frame.size()).ok());
   auto reply = shed_client.ReadFrame();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -455,7 +456,7 @@ TEST(NetServerTest, UndecodablePayloadGetsStatusReplyAndConnectionLives) {
 
   const std::vector<uint8_t> junk = {0xde, 0xad, 0xbe};
   const std::vector<uint8_t> frame =
-      EncodeFrame(FrameType::kRankRequest, /*request_id=*/31, junk);
+      EncodeFrame(FrameType::kRankRequest, /*request_id=*/31, junk).value();
   ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
   auto reply = client.ReadFrame();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
@@ -473,12 +474,62 @@ TEST(NetServerTest, UndecodablePayloadGetsStatusReplyAndConnectionLives) {
   EXPECT_TRUE(client.Rank(request).ok());
 }
 
+/// Answers every request inline with `num_scores` uniform scores.
+class FixedSizeBackend final : public RankBackend {
+ public:
+  void RankAsync(RankRequest request,
+                 std::function<void(Result<RankResponse>)> done,
+                 std::function<Status()> gate) override {
+    if (gate) {
+      if (Status s = gate(); !s.ok()) {
+        done(s);
+        return;
+      }
+    }
+    const size_t n = request.p > 0.5 ? kHuge : kSmall;
+    RankResponse response;
+    response.scores.assign(n, 1.0 / static_cast<double>(n));
+    response.converged = true;
+    done(std::move(response));
+  }
+  int64_t queue_depth() override { return 0; }
+  ServerInfo info() override { return {}; }
+
+  /// One score more than the largest response a frame can carry.
+  static constexpr size_t kHuge = 8388609;
+  static constexpr size_t kSmall = 10;
+};
+
+TEST(NetServerTest, OversizeResponseGetsStatusAndServerKeepsServing) {
+  FixedSizeBackend backend;
+  RpcServer server(backend, {});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = RpcClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  RankRequest huge;
+  huge.p = 1.0;
+  auto rejected = client->Rank(huge);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfRange)
+      << rejected.status().ToString();
+
+  // Same connection, same server: the next request is served.
+  RankRequest small;
+  small.p = 0.0;
+  auto served = client->Rank(small);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served->scores.size(), FixedSizeBackend::kSmall);
+  server.Stop();
+}
+
 TEST(NetServerTest, ServerBoundFrameTypeFromClientIsAProtocolError) {
   RuntimeServer served(/*graph_seed=*/5);
   RpcClient client = served.NewClient();
   const std::vector<uint8_t> frame = EncodeFrame(
       FrameType::kRankResponse, /*request_id=*/1,
-      EncodeRankResponse(RankResponse{}));
+      EncodeRankResponse(RankResponse{}))
+      .value();
   ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
   EXPECT_FALSE(client.ReadFrame().ok());
   EXPECT_TRUE(WaitFor(

@@ -147,7 +147,8 @@ TEST(NetWireTest, ServerInfoRoundTrips) {
 TEST(NetWireTest, FrameHeaderRoundTrips) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   const std::vector<uint8_t> frame =
-      EncodeFrame(FrameType::kRankResponse, 0xdeadbeefcafef00dull, payload);
+      EncodeFrame(FrameType::kRankResponse, 0xdeadbeefcafef00dull, payload)
+          .value();
   ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
   auto header = DecodeFrameHeader(frame);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
@@ -156,9 +157,17 @@ TEST(NetWireTest, FrameHeaderRoundTrips) {
   EXPECT_EQ(header.value().request_id, 0xdeadbeefcafef00dull);
 }
 
+TEST(NetWireTest, EncodeFrameRejectsOversizePayloadWithAStatus) {
+  // One byte over the limit no receiver accepts: a status, not an abort.
+  const std::vector<uint8_t> oversize(size_t{kMaxPayloadBytes} + 1, 0);
+  auto frame = EncodeFrame(FrameType::kRankResponse, 3, oversize);
+  ASSERT_FALSE(frame.ok());
+  EXPECT_EQ(frame.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(NetWireTest, FrameHeaderRejectsBadMagicVersionTypeAndLength) {
   const std::vector<uint8_t> good =
-      EncodeFrame(FrameType::kStatus, 7, std::vector<uint8_t>{});
+      EncodeFrame(FrameType::kStatus, 7, std::vector<uint8_t>{}).value();
   {
     std::vector<uint8_t> bad = good;
     bad[4] ^= 0xff;  // magic
@@ -190,7 +199,7 @@ TEST(NetWireTest, FrameHeaderRejectsBadMagicVersionTypeAndLength) {
 
 TEST(NetWireTest, FrameHeaderRejectsEveryTruncation) {
   const std::vector<uint8_t> frame =
-      EncodeFrame(FrameType::kInfoRequest, 1, std::vector<uint8_t>{});
+      EncodeFrame(FrameType::kInfoRequest, 1, std::vector<uint8_t>{}).value();
   for (size_t len = 0; len < kFrameHeaderBytes; ++len) {
     SCOPED_TRACE("length " + std::to_string(len));
     EXPECT_FALSE(
@@ -917,14 +926,14 @@ TEST(ShardWireTest, FrameHeaderAcceptsAllV2TypesAndStillRejectsBeyond) {
         FrameType::kSolveBegin, FrameType::kSweepRequest,
         FrameType::kSweepResponse, FrameType::kSolveEnd}) {
     const std::vector<uint8_t> frame =
-        EncodeFrame(type, 9, std::vector<uint8_t>{});
+        EncodeFrame(type, 9, std::vector<uint8_t>{}).value();
     auto header = DecodeFrameHeader(frame);
     ASSERT_TRUE(header.ok()) << header.status().ToString();
     EXPECT_EQ(header->type, type);
   }
   // One past the v2 range is still an unknown type.
   std::vector<uint8_t> frame =
-      EncodeFrame(FrameType::kSolveEnd, 9, std::vector<uint8_t>{});
+      EncodeFrame(FrameType::kSolveEnd, 9, std::vector<uint8_t>{}).value();
   frame[10] = 13;
   EXPECT_FALSE(DecodeFrameHeader(frame).ok());
 }
@@ -994,7 +1003,8 @@ TEST(ShardWireTest, V1FramesStillEncodeByteIdentically) {
       0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x70, 0x69,
       0x6e};
   EXPECT_EQ(EncodeFrame(FrameType::kRankRequest, 0x1122334455667788ull,
-                        EncodeRankRequest(wire)),
+                        EncodeRankRequest(wire))
+                .value(),
             request_golden);
 
   const std::vector<uint8_t> status_golden = {

@@ -236,15 +236,8 @@ TEST(PartitionFuzzTest, SolverLevelPowerBitParityOnRandomGraphs) {
     auto partition = GraphPartition::Build(
         *graph, {.scheme = scheme, .num_shards = num_shards});
     ASSERT_TRUE(partition.ok());
-    auto block =
-        SolvePagerankPartitioned(*transition, *partition, teleport, options);
-    ASSERT_TRUE(block.ok());
-    EXPECT_EQ(block->scores, reference->scores);
-    EXPECT_EQ(block->iterations, reference->iterations);
-    EXPECT_EQ(block->residual, reference->residual);
-
-    // The sliced solver inherits the same contract, from either slice
-    // construction path (permutation-of-the-matrix and matrix-free
+    // The block solver is bit-identical to the reference from either
+    // slice construction path (permutation-of-the-matrix and matrix-free
     // subgraph builds are themselves bit-identical, so one solve per
     // path proves the whole chain).
     auto from_matrix = BuildTransitionSlices(*partition, *transition);

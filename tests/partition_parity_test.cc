@@ -72,6 +72,14 @@ CsrGraph WeightedDirectedGraph() {
   return std::move(graph).value();
 }
 
+/// The block solvers' input: `transition` cut into `partition`'s slices.
+TransitionSlices SlicesOf(const GraphPartition& partition,
+                          const TransitionMatrix& transition) {
+  auto slices = BuildTransitionSlices(partition, transition);
+  EXPECT_TRUE(slices.ok()) << slices.status().ToString();
+  return std::move(slices).value();
+}
+
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
   EXPECT_EQ(a.size(), b.size());
   double max_diff = 0.0;
@@ -131,8 +139,9 @@ TEST(PartitionParityTest, PowerIsBitIdenticalForEverySchemeAndShardCount) {
               auto partition = GraphPartition::Build(
                   *graph, {.scheme = scheme, .num_shards = shards});
               ASSERT_TRUE(partition.ok());
-              auto block = SolvePagerankPartitioned(*transition, *partition,
-                                                    *teleport, options);
+              auto block = SolvePagerankPartitioned(
+                  SlicesOf(*partition, *transition), *partition, *teleport,
+                  options);
               ASSERT_TRUE(block.ok()) << block.status().ToString();
               // Bitwise: vector operator== compares every double exactly.
               EXPECT_EQ(block->scores, reference->scores);
@@ -180,8 +189,9 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
           auto partition = GraphPartition::Build(
               *graph, {.scheme = scheme, .num_shards = shards});
           ASSERT_TRUE(partition.ok());
-          auto block = SolveGaussSeidelPartitioned(*transition, *partition,
-                                                   *teleport, options);
+          auto block = SolveGaussSeidelPartitioned(
+              SlicesOf(*partition, *transition), *partition, *teleport,
+              options);
           ASSERT_TRUE(block.ok());
           EXPECT_TRUE(block->converged);
           EXPECT_LE(MaxAbsDiff(block->scores, reference->scores),
@@ -194,27 +204,55 @@ TEST(PartitionParityTest, GaussSeidelAgreesWithinTolerance) {
 }
 
 TEST(PartitionParityTest, SingleShardGaussSeidelEqualsBlockFixedPoint) {
-  // With one shard there is no frozen remote data, yet the block sweep is
-  // still not the reference sweep order's equal only for multi-shard
-  // runs; for one shard the in-shard Gauss-Seidel order IS the global
-  // order, so the paths coincide exactly.
-  const CsrGraph graph = UnweightedGraph();
-  auto transition = TransitionMatrix::Build(graph, {});
-  ASSERT_TRUE(transition.ok());
-  PagerankOptions options;
-  options.tolerance = 1e-12;
-  options.max_iterations = 5000;
-  const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
-  auto reference =
-      SolvePagerankGaussSeidel(graph, *transition, teleport, options);
-  ASSERT_TRUE(reference.ok());
-  auto partition = GraphPartition::Build(graph, {.num_shards = 1});
-  ASSERT_TRUE(partition.ok());
-  auto block =
-      SolveGaussSeidelPartitioned(*transition, *partition, teleport, options);
-  ASSERT_TRUE(block.ok());
-  EXPECT_EQ(block->scores, reference->scores);
-  EXPECT_EQ(block->iterations, reference->iterations);
+  // With one shard there is no frozen remote data: the in-shard
+  // Gauss-Seidel order IS the global order, so the block solve must
+  // reproduce SolvePagerankGaussSeidel bit for bit — on weighted directed
+  // graphs with dangling nodes too, under both policies block
+  // Gauss-Seidel supports, from either slice construction path.
+  const CsrGraph unweighted = UnweightedGraph();
+  const CsrGraph weighted = WeightedDirectedGraph();
+  for (const CsrGraph* graph : {&unweighted, &weighted}) {
+    for (double p : {0.0, 0.7, -0.5}) {
+      TransitionConfig config;
+      config.p = p;
+      config.beta = graph->weighted() ? 0.3 : 0.0;
+      auto transition = TransitionMatrix::Build(*graph, config);
+      ASSERT_TRUE(transition.ok());
+      for (DanglingPolicy policy :
+           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
+        PagerankOptions options;
+        options.tolerance = 1e-12;
+        options.max_iterations = 5000;
+        options.dangling = policy;
+        const std::vector<double> teleport =
+            UniformTeleport(graph->num_nodes());
+        auto reference =
+            SolvePagerankGaussSeidel(*graph, *transition, teleport, options);
+        ASSERT_TRUE(reference.ok());
+        for (PartitionScheme scheme : kSchemes) {
+          SCOPED_TRACE(std::string(graph->weighted() ? "weighted"
+                                                     : "unweighted") +
+                       " p=" + std::to_string(p) + " policy=" +
+                       std::to_string(static_cast<int>(policy)) + " " +
+                       PartitionSchemeName(scheme));
+          auto partition = GraphPartition::Build(
+              *graph, {.scheme = scheme, .num_shards = 1});
+          ASSERT_TRUE(partition.ok());
+          auto local = BuildTransitionSlicesLocal(*graph, *partition, config);
+          ASSERT_TRUE(local.ok());
+          for (const TransitionSlices& slices :
+               {SlicesOf(*partition, *transition), *local}) {
+            auto block = SolveGaussSeidelPartitioned(slices, *partition,
+                                                     teleport, options);
+            ASSERT_TRUE(block.ok());
+            EXPECT_EQ(block->scores, reference->scores);
+            EXPECT_EQ(block->iterations, reference->iterations);
+            EXPECT_EQ(block->residual, reference->residual);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
@@ -223,11 +261,12 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(graph, {.num_shards = 2});
   ASSERT_TRUE(partition.ok());
+  const TransitionSlices slices = SlicesOf(*partition, *transition);
   const std::vector<double> teleport = UniformTeleport(graph.num_nodes());
 
   PagerankOptions bad_alpha;
   bad_alpha.alpha = 1.0;
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *partition, teleport,
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *partition, teleport,
                                      bad_alpha)
                 .status()
                 .code(),
@@ -235,7 +274,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
 
   PagerankOptions bad_tolerance;
   bad_tolerance.tolerance = 0.0;
-  EXPECT_EQ(SolveGaussSeidelPartitioned(*transition, *partition, teleport,
+  EXPECT_EQ(SolveGaussSeidelPartitioned(slices, *partition, teleport,
                                         bad_tolerance)
                 .status()
                 .code(),
@@ -243,7 +282,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
 
   // Teleport of the wrong size, and a partition of the wrong graph.
   std::vector<double> short_teleport(3, 1.0 / 3.0);
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *partition, short_teleport,
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *partition, short_teleport,
                                      PagerankOptions{})
                 .status()
                 .code(),
@@ -251,7 +290,7 @@ TEST(PartitionParityTest, BlockSolversValidateLikeTheReference) {
   const CsrGraph other = WeightedDirectedGraph();
   auto other_partition = GraphPartition::Build(other, {.num_shards = 2});
   ASSERT_TRUE(other_partition.ok());
-  EXPECT_EQ(SolvePagerankPartitioned(*transition, *other_partition, teleport,
+  EXPECT_EQ(SolvePagerankPartitioned(slices, *other_partition, teleport,
                                      PagerankOptions{})
                 .status()
                 .code(),
@@ -263,8 +302,8 @@ TEST(PartitionParityTest, EmptyGraphSolvesTrivially) {
   ASSERT_TRUE(transition.ok());
   auto partition = GraphPartition::Build(CsrGraph(), {.num_shards = 4});
   ASSERT_TRUE(partition.ok());
-  auto solved = SolvePagerankPartitioned(*transition, *partition, {},
-                                         PagerankOptions{});
+  auto solved = SolvePagerankPartitioned(SlicesOf(*partition, *transition),
+                                         *partition, {}, PagerankOptions{});
   ASSERT_TRUE(solved.ok());
   EXPECT_TRUE(solved->converged);
   EXPECT_TRUE(solved->scores.empty());
@@ -399,7 +438,8 @@ TEST(PartitionParityTest, GaussSeidelRenormalizeIsRejectedNotApproximated) {
   PagerankOptions options;
   options.dangling = DanglingPolicy::kRenormalize;
   auto solved = SolveGaussSeidelPartitioned(
-      *transition, *partition, UniformTeleport(graph.num_nodes()), options);
+      SlicesOf(*partition, *transition), *partition,
+      UniformTeleport(graph.num_nodes()), options);
   EXPECT_FALSE(solved.ok());
   EXPECT_EQ(solved.status().code(), StatusCode::kInvalidArgument);
 

@@ -409,10 +409,12 @@ TEST(PartitionSliceTest, SlicedGaussSeidelAgreesWithinTolerance) {
     EXPECT_LE(MaxAbsDiff(block->scores, reference->scores), 1e-9);
     EXPECT_NEAR(Sum(block->scores), 1.0, 1e-12);
 
-    // And bit-identical to the matrix-overload block solve, which uses
-    // the same frozen-exchange sweep over the same probabilities.
+    // And bit-identical to the block solve over slices cut from the
+    // matrix: the same sweep over the same probabilities.
+    auto from_matrix = BuildTransitionSlices(*partition, *transition);
+    ASSERT_TRUE(from_matrix.ok());
     auto matrix_block =
-        SolveGaussSeidelPartitioned(*transition, *partition, teleport,
+        SolveGaussSeidelPartitioned(*from_matrix, *partition, teleport,
                                     options);
     ASSERT_TRUE(matrix_block.ok());
     EXPECT_EQ(block->scores, matrix_block->scores);

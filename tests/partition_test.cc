@@ -5,7 +5,9 @@
 // source graph: every owned row reproduces its global row, every arc
 // appears exactly once in exactly one shard's in-CSR with a correct
 // global arc index, in-rows ascend strictly by source, and boundary
-// accounting agrees between the push and pull sides. Degenerate inputs
+// accounting agrees between the push and pull sides, and the boundary /
+// source-slot layout the sweep kernels read names every arc's source.
+// Degenerate inputs
 // (empty graph, single node, all-dangling shard, more shards than nodes)
 // must produce well-formed partitions or a clean Status — never a crash.
 
@@ -127,6 +129,26 @@ void ExpectWellFormed(const CsrGraph& graph, const GraphPartition& partition) {
     }
     EXPECT_EQ(shard.boundary_out_arcs, recount_out);
     EXPECT_EQ(shard.boundary_in_arcs, recount_in);
+
+    // The [owned | boundary] slot layout the sweep kernels read: the
+    // boundary list is the distinct remote sources, ascending, and every
+    // slot names its arc's source.
+    std::set<NodeId> remote;
+    for (size_t idx = 0; idx < shard.in_sources.size(); ++idx) {
+      if (!shard.in_interior[idx]) remote.insert(shard.in_sources[idx]);
+    }
+    const std::vector<NodeId> boundary = ShardBoundarySources(shard);
+    EXPECT_EQ(boundary, std::vector<NodeId>(remote.begin(), remote.end()));
+    const std::vector<NodeId> slots = ShardSourceSlots(shard, boundary);
+    ASSERT_EQ(slots.size(), shard.in_sources.size());
+    for (size_t idx = 0; idx < slots.size(); ++idx) {
+      const size_t slot = static_cast<size_t>(slots[idx]);
+      ASSERT_LT(slot, shard.owned.size() + boundary.size());
+      EXPECT_EQ(slot < shard.owned.size()
+                    ? shard.owned[slot]
+                    : boundary[slot - shard.owned.size()],
+                shard.in_sources[idx]);
+    }
     boundary_in_total += shard.boundary_in_arcs;
     boundary_out_total += shard.boundary_out_arcs;
   }
