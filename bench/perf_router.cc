@@ -1,5 +1,5 @@
 // Shard-count sweeps for the EngineRouter: what a fleet of engines buys
-// over one engine for batch serving traffic, in both routing policies.
+// over one engine for batch serving traffic under replicated routing.
 // Arg(1) of each sweep is the sharded baseline's floor; BM_SingleEngine*
 // is the unsharded reference the ISSUE acceptance compares against.
 // Future router PRs regress against these QPS numbers.
@@ -28,7 +28,7 @@ CsrGraph MakeGraph() {
 }
 
 // Per-user personalized push queries: the workload sharding targets.
-std::vector<RankRequest> PersonalizedBatch(int multi_seed_every) {
+std::vector<RankRequest> PersonalizedBatch() {
   std::vector<RankRequest> batch;
   for (int i = 0; i < kBatchSize; ++i) {
     RankRequest request;
@@ -36,12 +36,6 @@ std::vector<RankRequest> PersonalizedBatch(int multi_seed_every) {
     request.method = SolverMethod::kForwardPush;
     request.push_epsilon = 1e-6;
     request.seeds = {static_cast<NodeId>(i * 17 % kGraphNodes)};
-    if (multi_seed_every > 0 && i % multi_seed_every == 0) {
-      // Seed pairs landing on different modulo owners: in partitioned
-      // mode these split and pay the merge.
-      request.seeds.push_back(
-          static_cast<NodeId>((i * 17 + 1) % kGraphNodes));
-    }
     batch.push_back(std::move(request));
   }
   return batch;
@@ -51,7 +45,7 @@ std::vector<RankRequest> PersonalizedBatch(int multi_seed_every) {
 void BM_SingleEngineBatch(benchmark::State& state) {
   const CsrGraph graph = MakeGraph();
   D2prEngine engine = D2prEngine::Borrowing(graph);
-  const std::vector<RankRequest> batch = PersonalizedBatch(0);
+  const std::vector<RankRequest> batch = PersonalizedBatch();
   D2PR_CHECK(engine.RankBatch(batch).ok());  // steady-state transitions
 
   for (auto _ : state) {
@@ -71,7 +65,7 @@ void BM_RouterReplicatedBatch(benchmark::State& state) {
   RouterOptions options;
   options.num_shards = static_cast<size_t>(state.range(0));
   EngineRouter router = EngineRouter::Borrowing(graph, options);
-  const std::vector<RankRequest> batch = PersonalizedBatch(0);
+  const std::vector<RankRequest> batch = PersonalizedBatch();
   D2PR_CHECK(router.RankBatch(batch).ok());  // warm every shard's cache
 
   for (auto _ : state) {
@@ -81,27 +75,6 @@ void BM_RouterReplicatedBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchSize);
 }
 BENCHMARK(BM_RouterReplicatedBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// Partitioned-teleport sweep on the same batch plus an eighth of the
-// requests multi-seeded across owners, so the split-and-merge path is
-// paid at a realistic rate.
-void BM_RouterPartitionedBatch(benchmark::State& state) {
-  const CsrGraph graph = MakeGraph();
-  RouterOptions options;
-  options.num_shards = static_cast<size_t>(state.range(0));
-  options.policy = RoutingPolicy::kPartitionedTeleport;
-  EngineRouter router = EngineRouter::Borrowing(graph, options);
-  const std::vector<RankRequest> batch = PersonalizedBatch(8);
-  D2PR_CHECK(router.RankBatch(batch).ok());
-
-  for (auto _ : state) {
-    auto responses = router.RankBatch(batch);
-    benchmark::DoNotOptimize(responses->data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchSize);
-}
-BENCHMARK(BM_RouterPartitionedBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Global power-iteration queries at distinct parameter points: each

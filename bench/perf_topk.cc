@@ -66,7 +66,7 @@ void BM_TopKFullPushThenTruncate(benchmark::State& state) {
   int64_t pushes = 0;
   for (auto _ : state) {
     auto response = engine.Rank(full);
-    auto truncated = TruncateToTopK(response->scores, top_k, 0.0);
+    auto truncated = TruncateToTopK(response->scores, top_k);
     pushes += response->pushes;
     benchmark::DoNotOptimize(truncated.entries.data());
   }

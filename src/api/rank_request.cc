@@ -55,8 +55,7 @@ Status ValidateRankRequestParameters(const RankRequest& request) {
   return Status::OK();
 }
 
-TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
-                             double certify_margin) {
+TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k) {
   TruncatedTopK result;
   if (top_k <= 0 || scores.empty()) return result;
   const size_t want = std::min(static_cast<size_t>(top_k), scores.size());
@@ -68,8 +67,8 @@ TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
     if (sa != sb) return sa > sb;
     return a < b;
   };
-  // One extra rank beyond the cut: the best excluded score is what the
-  // certification margin is measured against.
+  // One extra rank beyond the cut: the best excluded score is what
+  // certification is measured against.
   const size_t sorted = std::min(want + 1, order.size());
   std::partial_sort(order.begin(),
                     order.begin() + static_cast<ptrdiff_t>(sorted),
@@ -82,12 +81,12 @@ TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
     RankedEntry entry;
     entry.node = order[i];
     entry.score = scores[static_cast<size_t>(order[i])];
-    entry.certified = entry.score >= best_excluded + certify_margin;
+    entry.certified = entry.score >= best_excluded;
     result.entries.push_back(entry);
   }
   if (want < order.size()) {
-    result.uncertainty_gap = std::max(
-        0.0, best_excluded + certify_margin - result.entries.back().score);
+    result.uncertainty_gap =
+        std::max(0.0, best_excluded - result.entries.back().score);
   }
   return result;
 }

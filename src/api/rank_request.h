@@ -105,19 +105,16 @@ struct TruncatedTopK {
   /// min(top_k, |scores|) entries, score descending (ties by ascending
   /// node id).
   std::vector<RankedEntry> entries;
-  /// max(0, best excluded score + margin - k-th score); 0 when every
-  /// entry clears the boundary by at least the margin.
+  /// max(0, best excluded score - k-th score); 0 when every entry
+  /// clears the boundary.
   double uncertainty_gap = 0.0;
 };
 
-/// \brief Selects the top_k best entries of a full score vector with
-/// deterministic tie handling. An entry is certified when its score
-/// clears the best excluded score by at least `certify_margin` — exact
-/// servers pass 0 (everything selected is certified); EngineRouter's
-/// merge path passes its merge tolerance so boundary-near entries that
-/// float error could reorder are served uncertified instead.
-TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k,
-                             double certify_margin);
+/// \brief Selects the top_k best entries of an exact full score vector
+/// with deterministic tie handling. An entry is certified when its score
+/// is at least the best excluded score, so everything selected is
+/// certified and the gap is zero.
+TruncatedTopK TruncateToTopK(std::span<const double> scores, int top_k);
 
 /// \brief Scores plus diagnostics for one RankRequest.
 struct RankResponse {

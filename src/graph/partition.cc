@@ -21,8 +21,8 @@ size_t PartitionOwnerOf(PartitionScheme scheme, NodeId node, NodeId num_nodes,
   D2PR_DCHECK(num_shards > 0);
   D2PR_DCHECK(node >= 0 && node < num_nodes);
   if (scheme == PartitionScheme::kHash) {
-    // Matches serve/ModuloShardMap, so seed ownership and node ownership
-    // agree across the serving stack.
+    // Shard-cut files and `d2pr_cluster --scheme=hash` rely on exactly
+    // this map.
     return static_cast<size_t>(static_cast<uint32_t>(node)) % num_shards;
   }
   // Range, closed-form: the first `extra` shards hold base + 1 nodes

@@ -36,8 +36,7 @@
 //   * kRange — contiguous, balanced node ranges (locality-preserving for
 //     graphs with id-local structure, e.g. BFS- or time-ordered ids);
 //   * kHash — owner = node id modulo shard count (load-balancing for
-//     adversarial id orders; matches serve/ModuloShardMap, so a router's
-//     seed ownership and a partition's node ownership agree).
+//     adversarial id orders).
 //
 // Degenerate inputs are well-formed, never fatal: an empty graph or a
 // shard count exceeding the node count simply yields shards that own

@@ -11,7 +11,6 @@
 #include "common/string_util.h"
 #include "core/teleport.h"
 #include "graph/graph_fingerprint.h"
-#include "linalg/vec_ops.h"
 
 namespace d2pr {
 
@@ -32,8 +31,6 @@ EngineRouter::EngineRouter(std::shared_ptr<const CsrGraph> graph,
                            const RouterOptions& options)
     : graph_(std::move(graph)),
       options_(options),
-      shard_map_(options.shard_map ? options.shard_map
-                                   : std::make_shared<ModuloShardMap>()),
       score_cache_(ToScoreCacheOptions(options)),
       pool_(options.worker_threads > 0
                 ? options.worker_threads
@@ -83,9 +80,6 @@ EngineRouter::EngineRouter(std::shared_ptr<const CsrGraph> graph,
   for (size_t shard = 0; shard < num_shards; ++shard) {
     shards_.push_back(std::make_unique<D2prEngine>(graph_, shard_options));
   }
-  for (NodeId node = 0; node < graph_->num_nodes(); ++node) {
-    if (graph_->OutDegree(node) == 0) dangling_nodes_.push_back(node);
-  }
 }
 
 EngineRouter::EngineRouter(CsrGraph graph, const RouterOptions& options)
@@ -103,10 +97,6 @@ size_t EngineRouter::ShardForTag(const std::string& tag) const {
   return std::hash<std::string>{}(tag) % num_shards();
 }
 
-size_t EngineRouter::OwnerShardOf(NodeId node) const {
-  return shard_map_->OwnerOf(node, num_shards());
-}
-
 bool EngineRouter::AdvanceReferenceLruLocked(const TransitionKey& key) {
   auto it = std::find(reference_lru_.begin(), reference_lru_.end(), key);
   if (it != reference_lru_.end()) {
@@ -121,150 +111,31 @@ bool EngineRouter::AdvanceReferenceLruLocked(const TransitionKey& key) {
   return false;
 }
 
-std::vector<EngineRouter::Unit> EngineRouter::RouteLocked(
-    const RankRequest& request, size_t request_index,
-    std::vector<size_t>& planned_load) {
-  std::vector<Unit> units;
-  // Warm-tag affinity first: a trajectory must see its whole request
-  // subsequence on one engine regardless of policy, or warm state (and
-  // with it the bit-exact scores) would scatter.
+size_t EngineRouter::RouteLocked(const RankRequest& request,
+                                 std::vector<size_t>& planned_load) {
+  size_t shard = 0;
   if (!request.warm_start_tag.empty()) {
-    Unit unit;
-    unit.request_index = request_index;
-    unit.shard = ShardForTag(request.warm_start_tag);
-    unit.request = request;
-    ++planned_load[unit.shard];
-    units.push_back(std::move(unit));
-    return units;
-  }
-
-  if (options_.policy == RoutingPolicy::kPartitionedTeleport &&
-      !request.seeds.empty() &&
-      request.dangling != DanglingPolicy::kRenormalize) {
-    // Seed ownership split. kRenormalize is excluded: its fixed point is
-    // not linear in the teleport vector, so those requests route whole.
-    std::vector<std::vector<NodeId>> owned(shards_.size());
-    for (NodeId seed : request.seeds) {
-      owned[shard_map_->OwnerOf(seed, shards_.size())].push_back(seed);
-    }
-    size_t slot = 0;
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      if (owned[shard].empty()) continue;
-      Unit unit;
-      unit.request_index = request_index;
-      unit.shard = shard;
-      unit.slot = slot++;
-      unit.weight = static_cast<double>(owned[shard].size()) /
-                    static_cast<double>(request.seeds.size());
-      unit.request = request;
-      unit.request.seeds = std::move(owned[shard]);
-      ++planned_load[shard];
-      units.push_back(std::move(unit));
-    }
-    if (units.size() > 1) {
-      // MergeParts needs the FULL per-shard score vectors: the dangling
-      // un-normalization reads every dangling node's score and the
-      // weighted sum runs over all nodes. Sub-requests therefore solve
-      // exact; the merge truncates at the end. A single-owner split
-      // passes through untouched and may truncate natively on its shard.
-      for (Unit& unit : units) unit.request.top_k = 0;
-    }
-    if (!units.empty()) return units;
-    // Unreachable (non-empty seeds always have owners); fall through to
-    // the strategy path for safety.
-  }
-
-  Unit unit;
-  unit.request_index = request_index;
-  unit.request = request;
-  switch (options_.strategy) {
-    case ReplicaStrategy::kRoundRobin:
-      unit.shard = round_robin_next_++ % shards_.size();
-      break;
-    case ReplicaStrategy::kLeastLoaded: {
-      size_t best = 0;
-      int64_t best_load = std::numeric_limits<int64_t>::max();
-      for (size_t shard = 0; shard < shards_.size(); ++shard) {
-        const int64_t load =
-            shards_[shard]->stats().requests_inflight.load(
-                std::memory_order_relaxed) +
-            static_cast<int64_t>(planned_load[shard]);
-        if (load < best_load) {
-          best_load = load;
-          best = shard;
-        }
+    // Warm-tag affinity: a trajectory must see its whole request
+    // subsequence on one engine, or warm state (and with it the bit-exact
+    // scores) would scatter.
+    shard = ShardForTag(request.warm_start_tag);
+  } else if (options_.strategy == ReplicaStrategy::kRoundRobin) {
+    shard = round_robin_next_++ % shards_.size();
+  } else {
+    int64_t best_load = std::numeric_limits<int64_t>::max();
+    for (size_t candidate = 0; candidate < shards_.size(); ++candidate) {
+      const int64_t load =
+          shards_[candidate]->stats().requests_inflight.load(
+              std::memory_order_relaxed) +
+          static_cast<int64_t>(planned_load[candidate]);
+      if (load < best_load) {
+        best_load = load;
+        shard = candidate;
       }
-      unit.shard = best;
-      break;
     }
   }
-  ++planned_load[unit.shard];
-  units.push_back(std::move(unit));
-  return units;
-}
-
-RankResponse EngineRouter::MergeParts(const RankRequest& request,
-                                      std::vector<Part> parts) const {
-  RankResponse merged;
-  merged.method = request.method;
-  merged.converged = true;
-  merged.scores.assign(static_cast<size_t>(graph_->num_nodes()), 0.0);
-  for (Part& part : parts) {
-    double scale = part.weight;
-    if (request.dangling == DanglingPolicy::kTeleport &&
-        !dangling_nodes_.empty()) {
-      // Un-normalize: x_s = ((1-a) + a*m_s) * (I - aP)^-1 v_s, where m_s
-      // is the dangling mass of x_s itself. Dividing by that factor
-      // recovers the linear-in-teleport quantity the weighted sum of
-      // sub-teleports actually combines.
-      double dangling_mass = 0.0;
-      for (NodeId node : dangling_nodes_) {
-        dangling_mass += part.response.scores[static_cast<size_t>(node)];
-      }
-      scale /= (1.0 - request.alpha) + request.alpha * dangling_mass;
-    }
-    for (size_t i = 0; i < merged.scores.size(); ++i) {
-      merged.scores[i] += scale * part.response.scores[i];
-    }
-    merged.iterations = std::max(merged.iterations, part.response.iterations);
-    merged.pushes += part.response.pushes;
-    merged.converged = merged.converged && part.response.converged;
-    merged.residual = std::max(merged.residual, part.response.residual);
-    // "As executed" store diagnostics survive the merge: any sub-solve
-    // whose transition was mapped from the persistent store reports it.
-    merged.transition_store_hit =
-        merged.transition_store_hit || part.response.transition_store_hit;
-  }
-  NormalizeL1(merged.scores);
-  if (request.top_k > 0) {
-    // The sub-solves ran exact (RouteLocked strips top_k from split
-    // units), so truncation happens here on the merged vector. The merge
-    // is accurate only to solver tolerance, so entries within 1e-9 of
-    // the boundary are served uncertified instead of claiming a
-    // membership the float error cannot back.
-    TruncatedTopK truncated =
-        TruncateToTopK(merged.scores, request.top_k, /*certify_margin=*/1e-9);
-    merged.top = std::move(truncated.entries);
-    merged.uncertainty_gap = truncated.uncertainty_gap;
-    merged.truncated = true;
-    merged.scores.clear();
-  }
-  return merged;
-}
-
-Result<RankResponse> EngineRouter::ExecuteUnits(const RankRequest& request,
-                                                std::vector<Unit> units) {
-  std::vector<Part> parts;
-  parts.reserve(units.size());
-  for (Unit& unit : units) {
-    Result<RankResponse> response = shards_[unit.shard]->Rank(unit.request);
-    if (!response.ok()) return response.status();
-    parts.push_back(Part{unit.weight, std::move(response).value()});
-  }
-  if (parts.size() == 1 && parts[0].weight == 1.0) {
-    return std::move(parts[0].response);
-  }
-  return MergeParts(request, std::move(parts));
+  ++planned_load[shard];
+  return shard;
 }
 
 Result<std::shared_ptr<const TransitionSlices>> EngineRouter::PartitionSlices(
@@ -308,7 +179,7 @@ Result<RankResponse> EngineRouter::RankPartitioned(const RankRequest& request,
     // Fail cleanly instead of silently serving the full-vector cost.
     return Status::InvalidArgument(
         "top-k is not supported in partitioned-subgraph routing; "
-        "use a replicated or partitioned-teleport router");
+        "use a replicated router");
   }
   if (request.method == SolverMethod::kForwardPush) {
     // Forward push walks the whole forward adjacency from its seeds; it
@@ -438,14 +309,14 @@ Result<RankResponse> EngineRouter::Rank(const RankRequest& request) {
     return std::move(*memo);
   }
 
-  std::vector<Unit> units;
+  size_t shard = 0;
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     std::vector<size_t> planned_load(shards_.size(), 0);
-    units = RouteLocked(request, 0, planned_load);
+    shard = RouteLocked(request, planned_load);
   }
 
-  Result<RankResponse> response = ExecuteUnits(request, std::move(units));
+  Result<RankResponse> response = shards_[shard]->Rank(request);
   if (!response.ok()) return response;
   if (cacheable) score_cache_.Insert(key, *response);
   response->transition_cache_hit = advance_reference();
@@ -499,20 +370,14 @@ Result<std::vector<RankResponse>> EngineRouter::RankBatch(
   }
 
   // Plan the whole batch atomically: shard assignment happens in
-  // submission order.
-  std::vector<std::vector<Part>> parts(requests.size());
-  std::vector<std::vector<Unit>> chains(shards_.size());
+  // submission order. Each chain lists request indices in that order.
+  std::vector<std::vector<size_t>> chains(shards_.size());
   {
     std::lock_guard<std::mutex> lock(route_mu_);
     std::vector<size_t> planned_load(shards_.size(), 0);
     for (size_t i = 0; i < requests.size(); ++i) {
       if (memoized[i] || alias_of[i] != kNoAlias) continue;
-      std::vector<Unit> units = RouteLocked(requests[i], i, planned_load);
-      parts[i].resize(units.size());
-      for (Unit& unit : units) {
-        parts[i][unit.slot].weight = unit.weight;
-        chains[unit.shard].push_back(std::move(unit));
-      }
+      chains[RouteLocked(requests[i], planned_load)].push_back(i);
     }
   }
 
@@ -521,37 +386,37 @@ Result<std::vector<RankResponse>> EngineRouter::RankBatch(
   Status first_error = Status::OK();
 
   ptrdiff_t active_chains = 0;
-  for (const std::vector<Unit>& chain : chains) {
+  for (const std::vector<size_t>& chain : chains) {
     if (!chain.empty()) ++active_chains;
   }
   std::latch done(active_chains);
-  for (std::vector<Unit>& chain : chains) {
-    if (chain.empty()) continue;
-    pool_.Submit([this, &parts, &error_mu, &first_error_index, &first_error,
-                  &done, chain = std::move(chain)] {
+  for (size_t shard = 0; shard < chains.size(); ++shard) {
+    if (chains[shard].empty()) continue;
+    pool_.Submit([this, requests, &responses, &error_mu, &first_error_index,
+                  &first_error, &done, shard,
+                  chain = std::move(chains[shard])] {
       // RAII tick: the pool contains task exceptions, so a throw past
       // a plain trailing count_down() would strand done.wait() forever.
       struct Tick {
         std::latch& latch;
         ~Tick() { latch.count_down(); }
       } tick{done};
-      for (const Unit& unit : chain) {
-        Result<RankResponse> response =
-            shards_[unit.shard]->Rank(unit.request);
+      for (size_t i : chain) {
+        Result<RankResponse> response = shards_[shard]->Rank(requests[i]);
         if (!response.ok()) {
           // Mirror the sequential fail-fast error: of all failing
           // requests, the lowest index wins; the rest of this shard's
           // chain would never have run, so stop it.
           std::lock_guard<std::mutex> lock(error_mu);
-          if (unit.request_index < first_error_index) {
-            first_error_index = unit.request_index;
+          if (i < first_error_index) {
+            first_error_index = i;
             first_error = response.status();
           }
           break;
         }
-        // Distinct (request_index, slot) per unit: writes never collide.
-        parts[unit.request_index][unit.slot].response =
-            std::move(response).value();
+        // Each request index sits in exactly one chain: writes never
+        // collide.
+        responses[i] = std::move(response).value();
       }
     });
   }
@@ -576,11 +441,6 @@ Result<std::vector<RankResponse>> EngineRouter::RankBatch(
 
   for (size_t i = 0; i < requests.size(); ++i) {
     if (memoized[i] || alias_of[i] != kNoAlias) continue;
-    if (parts[i].size() == 1 && parts[i][0].weight == 1.0) {
-      responses[i] = std::move(parts[i][0].response);
-    } else {
-      responses[i] = MergeParts(requests[i], std::move(parts[i]));
-    }
     if (cache_on && requests[i].warm_start_tag.empty()) {
       score_cache_.Insert(keys[i], responses[i]);
     }

@@ -18,7 +18,8 @@
 //     (stable hash of the tag), so every trajectory sees exactly the
 //     per-tag request subsequence a single engine would — scores,
 //     iteration counts, and warm diagnostics stay bit-identical to the
-//     sequential single-engine reference.
+//     sequential single-engine reference. A personalized request is one
+//     whole-graph solve on one shard, exact like every other request.
 //   * kPartitionedSubgraph — the *edges* themselves are partitioned: a
 //     GraphPartitioner (graph/partition.h) splits the vertex set into
 //     per-shard subgraphs (range or hash ownership), and every query is
@@ -48,28 +49,8 @@
 //     warm tags are accepted but solve cold (warm_start_hit stays
 //     false). Gauss-Seidel under DanglingPolicy::kRenormalize is also
 //     rejected — its fixed point depends on the sweep order (see
-//     core/block_solver.h), the same non-linearity that makes
-//     kPartitionedTeleport route kRenormalize requests whole. See
-//     tests/partition_parity_test.cc and tests/partition_fuzz_test.cc
-//     for the enforced contract.
-//   * kPartitionedTeleport — the *query space* is partitioned by seed
-//     ownership under a pluggable ShardMap: a personalized request whose
-//     seeds span several owner shards is split into one sub-request per
-//     owner (seeds restricted to that shard's nodes), and the per-shard
-//     score vectors are merged back into one global RankResponse. The
-//     merge exploits that the PageRank fixed point is linear in the
-//     teleport vector once each sub-solution is un-normalized: under
-//     DanglingPolicy::kTeleport a sub-solution x_s with dangling mass m_s
-//     satisfies x_s = ((1-a) + a*m_s) * (I - aP)^-1 v_s, so the router
-//     rescales each x_s by weight_s / ((1-a) + a*m_s), sums, and
-//     L1-renormalizes — recovering the full-teleport solution to within
-//     solver tolerance. Top-k requests that split strip top_k from the
-//     sub-requests (the merge needs full vectors) and truncate the
-//     merged vector, serving boundary-near entries uncertified (1e-9
-//     merge margin). Global (unseeded) requests and warm-tagged
-//     requests route whole, as in replicated mode;
-//     DanglingPolicy::kRenormalize breaks the linearity argument, so
-//     seeded kRenormalize requests also route whole.
+//     core/block_solver.h). See tests/partition_parity_test.cc and
+//     tests/partition_fuzz_test.cc for the enforced contract.
 //
 // Determinism contract (the parity suite in tests/engine_router_test.cc
 // and tests/router_fuzz_test.cc enforces this):
@@ -80,8 +61,6 @@
 //     EngineOptions::warm_start_capacity (per-shard warm stores evict
 //     independently beyond that, the same caveat ServingRuntime documents
 //     for cross-tag eviction order).
-//   * Partitioned responses agree with the single-engine reference within
-//     solver tolerance, and merged score vectors sum to 1.
 //   * transition_cache_hit diagnostics are normalized to the sequential
 //     single-engine reference: the router replays a persistent virtual
 //     LRU (same capacity as one engine's transition cache) over the
@@ -138,9 +117,6 @@ enum class RoutingPolicy {
   /// Every shard answers any request; untagged requests spread by
   /// ReplicaStrategy, warm-tagged requests pin by tag hash.
   kReplicated,
-  /// Personalized requests route (and split) by seed-node ownership under
-  /// the ShardMap; everything else behaves as in kReplicated.
-  kPartitionedTeleport,
   /// The graph's edges are partitioned into per-shard subgraphs
   /// (graph/partition.h) and every query runs as a block iteration with
   /// cross-shard mass exchange (core/block_solver.h). See the file
@@ -158,35 +134,14 @@ enum class ReplicaStrategy {
   kLeastLoaded,
 };
 
-/// \brief Pluggable seed-node ownership for kPartitionedTeleport.
-class ShardMap {
- public:
-  virtual ~ShardMap() = default;
-  /// Which shard owns `node`. Must be a pure function of (node,
-  /// num_shards) — the router calls it from multiple threads and relies
-  /// on stable answers for cache affinity.
-  virtual size_t OwnerOf(NodeId node, size_t num_shards) const = 0;
-};
-
-/// \brief Default ownership: node id modulo shard count.
-class ModuloShardMap final : public ShardMap {
- public:
-  size_t OwnerOf(NodeId node, size_t num_shards) const override {
-    return static_cast<size_t>(static_cast<uint32_t>(node)) % num_shards;
-  }
-};
-
 /// \brief EngineRouter construction knobs.
 struct RouterOptions {
   /// Shard engines to stand up (0 is clamped to 1).
   size_t num_shards = 2;
   RoutingPolicy policy = RoutingPolicy::kReplicated;
   ReplicaStrategy strategy = ReplicaStrategy::kRoundRobin;
-  /// Seed ownership for kPartitionedTeleport; null = ModuloShardMap.
-  std::shared_ptr<const ShardMap> shard_map;
   /// Node-ownership scheme for kPartitionedSubgraph (ignored by the
-  /// other policies). kHash matches ModuloShardMap, so seed ownership
-  /// and subgraph ownership coincide under the default ShardMap.
+  /// other policies).
   PartitionScheme partition_scheme = PartitionScheme::kRange;
   /// How kPartitionedSubgraph constructs the per-shard transition slices
   /// its block solves stream (ignored by the other policies).
@@ -202,10 +157,9 @@ struct RouterOptions {
   /// normalization).
   EngineOptions engine_options;
   /// Shared response memo in front of routing; 0 (default) disables it so
-  /// the router is parity-pure out of the box. Only full (merged)
-  /// responses are ever inserted — per-shard partial responses never
-  /// reach the cache. With the memo on, duplicate memoizable requests
-  /// within one RankBatch also solve exactly once (in-batch dedup).
+  /// the router is parity-pure out of the box. With the memo on,
+  /// duplicate memoizable requests within one RankBatch also solve
+  /// exactly once (in-batch dedup).
   size_t score_cache_capacity = 0;
   /// Response memo byte budget (see ScoreCacheOptions::capacity_bytes);
   /// 0 = no byte limit. Either nonzero budget enables the memo.
@@ -289,11 +243,8 @@ class EngineRouter {
 
   /// The shard a warm-start tag pins to (stable for the router's life).
   size_t ShardForTag(const std::string& tag) const;
-  /// The shard owning `node` under the active ShardMap.
-  size_t OwnerShardOf(NodeId node) const;
 
-  /// \brief One query, routed (and, in partitioned mode, split/merged) on
-  /// the caller's thread.
+  /// \brief One query, routed on the caller's thread.
   Result<RankResponse> Rank(const RankRequest& request);
 
   /// \brief Executes `requests` across the shards and returns responses
@@ -327,42 +278,16 @@ class EngineRouter {
   ThreadPool& pool() { return pool_; }
 
  private:
-  /// One engine execution planned for a request. A request routed whole
-  /// is a single unit of weight 1; a seed-split request has one unit per
-  /// owning shard, weighted by its share of the seed set.
-  struct Unit {
-    size_t request_index = 0;
-    size_t shard = 0;
-    size_t slot = 0;      ///< Index into the request's parts vector.
-    double weight = 1.0;
-    RankRequest request;
-  };
-  struct Part {
-    double weight = 1.0;
-    RankResponse response;
-  };
-
-  /// Routes one request into units. Caller holds route_mu_;
+  /// Picks the shard that answers one request. Caller holds route_mu_;
   /// `planned_load` accumulates this plan's per-shard assignments for
   /// kLeastLoaded.
-  std::vector<Unit> RouteLocked(const RankRequest& request,
-                                size_t request_index,
-                                std::vector<size_t>& planned_load);
+  size_t RouteLocked(const RankRequest& request,
+                     std::vector<size_t>& planned_load);
 
   /// Advances the virtual single-engine LRU by one request's transition
   /// key and returns the hit flag the sequential reference would report.
   /// Caller holds route_mu_.
   bool AdvanceReferenceLruLocked(const TransitionKey& key);
-
-  /// Weighted, dangling-aware merge of per-shard partial responses into
-  /// one global response (see the linearity note in the file comment).
-  /// The merged score vector is L1-normalized to mass 1.
-  RankResponse MergeParts(const RankRequest& request,
-                          std::vector<Part> parts) const;
-
-  /// Runs one request's units sequentially on the caller's thread.
-  Result<RankResponse> ExecuteUnits(const RankRequest& request,
-                                    std::vector<Unit> units);
 
   /// One query through the partitioned-subgraph path: validate (mirroring
   /// D2prEngine::Rank), resolve the shared transition, run the block
@@ -384,9 +309,7 @@ class EngineRouter {
 
   std::shared_ptr<const CsrGraph> graph_;
   RouterOptions options_;
-  std::shared_ptr<const ShardMap> shard_map_;
   std::vector<std::unique_ptr<D2prEngine>> shards_;
-  std::vector<NodeId> dangling_nodes_;  ///< For the merge rescale.
   ScoreCache score_cache_;
 
   /// Partitioned-subgraph state; null in the other modes. The partition

@@ -3,7 +3,8 @@
 // exactly — power bitwise (scores, iteration count, final residual)
 // against SolvePagerankPartitioned, block Gauss-Seidel within 1e-9 of
 // SolveGaussSeidelPartitioned — across both partition schemes, shard
-// counts {1, 2, 4, 8}, every dangling policy, and a 25-graph seeded fuzz
+// counts {1, 2, 4, 8}, every dangling policy (on an undirected graph and
+// on a directed graph with sinks), and a 25-graph seeded fuzz
 // over the same graph family partition_fuzz_test.cc proves the
 // in-process solvers on. Because the worker and the in-process block
 // solver run the same sweep kernel, the power grid is also held memcmp-
@@ -23,6 +24,7 @@
 #include "core/transition_slices.h"
 #include "dist/coordinator.h"
 #include "dist_test_util.h"
+#include "graph/graph_builder.h"
 #include "graph/partition.h"
 
 namespace d2pr {
@@ -49,6 +51,48 @@ Result<PagerankResult> ReferenceSolve(const CsrGraph& graph,
                                            options);
 }
 
+/// Directed and weighted, with sinks at nodes 35..39. Undirected
+/// Barabási–Albert graphs have no dangling nodes, so only a graph like
+/// this one makes the three dangling policies run different arithmetic.
+CsrGraph DirectedGraphWithSinks() {
+  Rng rng(7);
+  GraphBuilder builder(40, GraphKind::kDirected, /*weighted=*/true);
+  for (NodeId v = 0; v < 35; ++v) {
+    const int degree = 1 + static_cast<int>(rng.UniformInt(0, 3));
+    for (int j = 0; j < degree; ++j) {
+      const auto target = static_cast<NodeId>(rng.UniformInt(0, 39));
+      if (target == v) continue;
+      D2PR_CHECK(builder.AddEdge(v, target, 0.5 + rng.Uniform() * 3.0).ok());
+    }
+  }
+  auto graph = builder.Build();
+  D2PR_CHECK(graph.ok()) << graph.status().ToString();
+  return std::move(graph).value();
+}
+
+/// The two graphs the scheme x shards x policy grids solve on, labeled.
+struct GridGraph {
+  const char* name;
+  CsrGraph graph;
+};
+
+std::vector<GridGraph> GridGraphs(uint64_t ba_seed, NodeId ba_nodes) {
+  Rng rng(ba_seed);
+  auto ba = BarabasiAlbert(ba_nodes, 3, &rng);
+  D2PR_CHECK(ba.ok()) << ba.status().ToString();
+  std::vector<GridGraph> graphs;
+  graphs.push_back({"barabasi-albert", std::move(ba).value()});
+  graphs.push_back({"directed with sinks", DirectedGraphWithSinks()});
+  return graphs;
+}
+
+bool HasDanglingNode(const CsrGraph& graph) {
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    if (graph.OutDegree(v) == 0) return true;
+  }
+  return false;
+}
+
 void ExpectBitwiseEqual(const PagerankResult& got,
                         const PagerankResult& want) {
   EXPECT_EQ(got.scores, want.scores);
@@ -70,93 +114,99 @@ void ExpectWithin(const PagerankResult& got, const PagerankResult& want,
 }
 
 TEST(DistParityTest, PowerBitwiseAcrossSchemesShardsAndPolicies) {
-  Rng rng(42);
-  auto graph = BarabasiAlbert(300, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
-  auto transition = TransitionMatrix::Build(*graph, {});
-  ASSERT_TRUE(transition.ok());
+  const std::vector<GridGraph> graphs = GridGraphs(42, 300);
+  ASSERT_TRUE(HasDanglingNode(graphs[1].graph));
+  for (const GridGraph& grid_graph : graphs) {
+    SCOPED_TRACE(grid_graph.name);
+    const CsrGraph* graph = &grid_graph.graph;
+    const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+    auto transition = TransitionMatrix::Build(*graph, {});
+    ASSERT_TRUE(transition.ok());
 
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    for (size_t shards : {1, 2, 4, 8}) {
-      for (DanglingPolicy dangling :
-           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
-            DanglingPolicy::kRenormalize}) {
-        SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
-                     std::to_string(shards) + " shards, dangling " +
-                     std::to_string(static_cast<int>(dangling)));
-        PagerankOptions options;
-        options.alpha = 0.85;
-        options.tolerance = 1e-11;
-        options.max_iterations = 2000;
-        options.dangling = dangling;
+    for (PartitionScheme scheme :
+         {PartitionScheme::kRange, PartitionScheme::kHash}) {
+      for (size_t shards : {1, 2, 4, 8}) {
+        for (DanglingPolicy dangling :
+             {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop,
+              DanglingPolicy::kRenormalize}) {
+          SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
+                       std::to_string(shards) + " shards, dangling " +
+                       std::to_string(static_cast<int>(dangling)));
+          PagerankOptions options;
+          options.alpha = 0.85;
+          options.tolerance = 1e-11;
+          options.max_iterations = 2000;
+          options.dangling = dangling;
 
-        DistFleet fleet = MakeFleet(*graph, shards, scheme);
-        DistributedCoordinator coordinator(
-            fleet.raw, MakeCoordinatorOptions(*graph, scheme));
-        ASSERT_TRUE(coordinator.Handshake().ok());
-        auto distributed =
-            coordinator.Solve(SolverMethod::kPower, teleport, options);
-        ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-        ASSERT_TRUE(distributed->converged);
+          DistFleet fleet = MakeFleet(*graph, shards, scheme);
+          DistributedCoordinator coordinator(
+              fleet.raw, MakeCoordinatorOptions(*graph, scheme));
+          ASSERT_TRUE(coordinator.Handshake().ok());
+          auto distributed =
+              coordinator.Solve(SolverMethod::kPower, teleport, options);
+          ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+          ASSERT_TRUE(distributed->converged);
 
-        auto reference =
-            ReferenceSolve(*graph, scheme, shards, SolverMethod::kPower, {},
-                           teleport, options);
-        ASSERT_TRUE(reference.ok());
-        ExpectBitwiseEqual(*distributed, *reference);
+          auto reference =
+              ReferenceSolve(*graph, scheme, shards, SolverMethod::kPower, {},
+                             teleport, options);
+          ASSERT_TRUE(reference.ok());
+          ExpectBitwiseEqual(*distributed, *reference);
 
-        // The block solve and the worker share one sweep kernel, so also
-        // hold both to the whole-graph scatter solver, which shares none.
-        auto whole = SolvePagerank(*graph, *transition, teleport, options);
-        ASSERT_TRUE(whole.ok());
-        ASSERT_EQ(distributed->scores.size(), whole->scores.size());
-        EXPECT_EQ(std::memcmp(distributed->scores.data(),
-                              whole->scores.data(),
-                              whole->scores.size() * sizeof(double)),
-                  0);
-        EXPECT_EQ(distributed->iterations, whole->iterations);
-        EXPECT_EQ(distributed->residual, whole->residual);
+          // The block solve and the worker share one sweep kernel, so also
+          // hold both to the whole-graph scatter solver, which shares none.
+          auto whole = SolvePagerank(*graph, *transition, teleport, options);
+          ASSERT_TRUE(whole.ok());
+          ASSERT_EQ(distributed->scores.size(), whole->scores.size());
+          EXPECT_EQ(std::memcmp(distributed->scores.data(),
+                                whole->scores.data(),
+                                whole->scores.size() * sizeof(double)),
+                    0);
+          EXPECT_EQ(distributed->iterations, whole->iterations);
+          EXPECT_EQ(distributed->residual, whole->residual);
+        }
       }
     }
   }
 }
 
 TEST(DistParityTest, GaussSeidelWithinToleranceAcrossSchemesAndShards) {
-  Rng rng(43);
-  auto graph = BarabasiAlbert(250, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
+  const std::vector<GridGraph> graphs = GridGraphs(43, 250);
+  ASSERT_TRUE(HasDanglingNode(graphs[1].graph));
+  for (const GridGraph& grid_graph : graphs) {
+    SCOPED_TRACE(grid_graph.name);
+    const CsrGraph* graph = &grid_graph.graph;
+    const std::vector<double> teleport = UniformTeleport(graph->num_nodes());
 
-  for (PartitionScheme scheme :
-       {PartitionScheme::kRange, PartitionScheme::kHash}) {
-    for (size_t shards : {1, 2, 4, 8}) {
-      for (DanglingPolicy dangling :
-           {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
-        SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
-                     std::to_string(shards) + " shards, dangling " +
-                     std::to_string(static_cast<int>(dangling)));
-        PagerankOptions options;
-        options.alpha = 0.85;
-        options.tolerance = 1e-11;
-        options.max_iterations = 2000;
-        options.dangling = dangling;
+    for (PartitionScheme scheme :
+         {PartitionScheme::kRange, PartitionScheme::kHash}) {
+      for (size_t shards : {1, 2, 4, 8}) {
+        for (DanglingPolicy dangling :
+             {DanglingPolicy::kTeleport, DanglingPolicy::kSelfLoop}) {
+          SCOPED_TRACE(std::string(PartitionSchemeName(scheme)) + " x " +
+                       std::to_string(shards) + " shards, dangling " +
+                       std::to_string(static_cast<int>(dangling)));
+          PagerankOptions options;
+          options.alpha = 0.85;
+          options.tolerance = 1e-11;
+          options.max_iterations = 2000;
+          options.dangling = dangling;
 
-        DistFleet fleet = MakeFleet(*graph, shards, scheme);
-        DistributedCoordinator coordinator(
-            fleet.raw, MakeCoordinatorOptions(*graph, scheme));
-        ASSERT_TRUE(coordinator.Handshake().ok());
-        auto distributed =
-            coordinator.Solve(SolverMethod::kGaussSeidel, teleport, options);
-        ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-        ASSERT_TRUE(distributed->converged);
+          DistFleet fleet = MakeFleet(*graph, shards, scheme);
+          DistributedCoordinator coordinator(
+              fleet.raw, MakeCoordinatorOptions(*graph, scheme));
+          ASSERT_TRUE(coordinator.Handshake().ok());
+          auto distributed =
+              coordinator.Solve(SolverMethod::kGaussSeidel, teleport, options);
+          ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
+          ASSERT_TRUE(distributed->converged);
 
-        auto reference = ReferenceSolve(*graph, scheme, shards,
-                                        SolverMethod::kGaussSeidel, {},
-                                        teleport, options);
-        ASSERT_TRUE(reference.ok());
-        ExpectWithin(*distributed, *reference, kGsTolerance);
+          auto reference = ReferenceSolve(*graph, scheme, shards,
+                                          SolverMethod::kGaussSeidel, {},
+                                          teleport, options);
+          ASSERT_TRUE(reference.ok());
+          ExpectWithin(*distributed, *reference, kGsTolerance);
+        }
       }
     }
   }

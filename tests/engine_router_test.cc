@@ -2,15 +2,13 @@
 // for-element identical to the sequential single-engine reference for
 // every solver and shard count {1, 2, 4, 8} — including after prior
 // traffic and with warm-tag chains pinned to one shard — routing must
-// spread untagged load deterministically, errors must surface as the
-// sequential fail-fast status, and partitioned-mode seed splits must
-// merge back to the reference solution with score mass 1.
+// spread untagged load deterministically, and errors must surface as the
+// sequential fail-fast status.
 
 #include "serve/engine_router.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -18,8 +16,6 @@
 
 #include "common/rng.h"
 #include "datagen/classic_generators.h"
-#include "linalg/vec_ops.h"
-#include "stats/ranking.h"
 
 namespace d2pr {
 namespace {
@@ -245,99 +241,6 @@ TEST(EngineRouterTest, RankAsyncAgreesWithRank) {
   invalid.alpha = -0.5;
   auto failed = router.RankAsync(invalid).get();
   EXPECT_FALSE(failed.ok());
-}
-
-TEST(EngineRouterTest, PartitionedSingleOwnerRequestRoutesWhole) {
-  auto graph = TestGraph(38);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  // Seeds 2, 5, 8 all belong to shard 2 under the modulo map: the request
-  // must reach exactly that engine unsplit, so its response is bit-
-  // identical to the single-engine reference.
-  RankRequest request;
-  request.p = 0.5;
-  request.tolerance = 1e-10;
-  request.seeds = {2, 5, 8};
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  EXPECT_EQ(routed->scores, expected->scores);
-
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, s == 2 ? 1 : 0)
-        << "shard " << s;
-  }
-}
-
-TEST(EngineRouterTest, PartitionedSplitMergesToReferenceWithMassOne) {
-  auto graph = TestGraph(39);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  // Owners 0, 1, and 2 under the modulo map: a genuine three-way split.
-  RankRequest request;
-  request.p = 0.8;
-  request.alpha = 0.85;
-  request.tolerance = 1e-12;
-  request.max_iterations = 2000;
-  request.seeds = {0, 1, 2, 6, 10};
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-  ASSERT_TRUE(expected->converged);
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  EXPECT_TRUE(routed->converged);
-  // Every owner shard solved one sub-request.
-  for (size_t s = 0; s < router.num_shards(); ++s) {
-    EXPECT_EQ(router.shard(s).stats().requests, 1) << "shard " << s;
-  }
-
-  ASSERT_EQ(routed->scores.size(), expected->scores.size());
-  EXPECT_NEAR(Sum(routed->scores), 1.0, 1e-12);
-  double max_diff = 0.0;
-  for (size_t i = 0; i < routed->scores.size(); ++i) {
-    max_diff = std::max(max_diff,
-                        std::abs(routed->scores[i] - expected->scores[i]));
-  }
-  EXPECT_LT(max_diff, 1e-9);
-  EXPECT_EQ(TopK(routed->scores, 10), TopK(expected->scores, 10));
-}
-
-TEST(EngineRouterTest, PartitionedForwardPushSplitAgreesOnTopK) {
-  auto graph = TestGraph(40);
-  ASSERT_TRUE(graph.ok());
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 2, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  RankRequest request;
-  request.p = 0.5;
-  request.method = SolverMethod::kForwardPush;
-  request.push_epsilon = 1e-8;
-  request.seeds = {3, 4};  // owners 1 and 0: a two-way split
-
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  auto expected = reference.Rank(request);
-  ASSERT_TRUE(expected.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok());
-  // Merged push responses are L1-normalized; the push reference is only
-  // approximately so. Rankings are scale-invariant, so compare top-k.
-  EXPECT_NEAR(Sum(routed->scores), 1.0, 1e-12);
-  EXPECT_EQ(TopK(routed->scores, 10), TopK(expected->scores, 10));
 }
 
 TEST(EngineRouterTest, FailedRequestsDoNotAdvanceReferenceDiagnostics) {

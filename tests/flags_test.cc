@@ -118,7 +118,7 @@ TEST(RankFlagsTopKTest, AcceptedAndRejectedCombinations) {
                             "--method=forward-push", "--seeds=3"})
                   .ok());
   EXPECT_TRUE(ValidateArgs({"--graph=g.txt", "--top-k=10", "--shards=2",
-                            "--route=partitioned"})
+                            "--route=least-loaded"})
                   .ok());
 
   // k must be a positive count; 0 would silently mean "exact", so it is
@@ -158,7 +158,7 @@ TEST(RankFlagsTest, PartitionExcludesRoute) {
                              "--shards=2", "--route=replicated"})
                    .ok());
   EXPECT_FALSE(ValidateArgs({"--graph=g.txt", "--partition=hash",
-                             "--shards=2", "--route=partitioned"})
+                             "--shards=2", "--route=least-loaded"})
                    .ok());
 }
 
@@ -246,9 +246,15 @@ TEST(RankFlagsTest, ValueVocabulariesValidated) {
   EXPECT_EQ(ParseRankMethod("forward-push").value(),
             SolverMethod::kForwardPush);
   EXPECT_EQ(ParseCacheMode("write").value(), PersistMode::kWriteOnly);
-  EXPECT_EQ(ParseRoute("partitioned").value().policy,
-            RoutingPolicy::kPartitionedTeleport);
-  EXPECT_EQ(ParseRoute("").value().strategy, ReplicaStrategy::kRoundRobin);
+  EXPECT_EQ(ParseRoute("least-loaded").value(), ReplicaStrategy::kLeastLoaded);
+  EXPECT_EQ(ParseRoute("").value(), ReplicaStrategy::kRoundRobin);
+  // "partitioned" is not a route name and fails like any typo (exit 2).
+  const Status partitioned =
+      ValidateArgs({"--graph=g.txt", "--shards=2", "--route=partitioned"});
+  EXPECT_EQ(partitioned.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(partitioned.message().find("unknown --route 'partitioned'"),
+            std::string::npos)
+      << partitioned.ToString();
 }
 
 TEST(RankFlagsTest, ExistingCombinationRulesStillEnforced) {

@@ -47,7 +47,7 @@ TEST(NetFlagsTest, ServerAcceptsGraphFileWithOrientationFlags) {
 
 TEST(NetFlagsTest, ServerAcceptsEveryRouteName) {
   for (const char* route :
-       {"replicated", "least-loaded", "partitioned", "subgraph"}) {
+       {"replicated", "least-loaded", "subgraph"}) {
     SCOPED_TRACE(route);
     EXPECT_TRUE(
         Server({"--shards=2", (std::string("--route=") + route).c_str()})
@@ -83,6 +83,12 @@ TEST(NetFlagsTest, ServerRejectsRouteCombinations) {
   // --route without a fleet to route over.
   EXPECT_FALSE(Server({"--route=replicated"}).ok());
   EXPECT_FALSE(Server({"--route=subgraph", "--shards=1"}).ok());
+  // "partitioned" is not a route name and fails like any typo (exit 2).
+  const Status partitioned = Server({"--route=partitioned", "--shards=2"});
+  EXPECT_EQ(partitioned.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(partitioned.message().find("unknown --route 'partitioned'"),
+            std::string::npos)
+      << partitioned.ToString();
 }
 
 TEST(NetFlagsTest, ServerRejectsGraphSourceConflicts) {

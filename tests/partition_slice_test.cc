@@ -12,8 +12,8 @@
 //     weighted beta blend;
 //   * the sliced block solvers inherit the parity contracts verbatim:
 //     power bit-identical to SolvePagerank, Gauss-Seidel within 1e-9;
-//   * GraphPartitioner's kHash ownership stays identical to
-//     serve/ModuloShardMap, the coupling the serving stack routes by.
+//   * GraphPartitioner's kHash ownership stays node % num_shards, the
+//     map shard-cut files and `d2pr_cluster --scheme=hash` rely on.
 
 #include <gtest/gtest.h>
 
@@ -518,11 +518,10 @@ TEST(PartitionSliceTest, RouterFromMatrixModeKeepsMatrixAccounting) {
   EXPECT_EQ(router.partition_slice_builds(), 1);
 }
 
-TEST(PartitionSliceTest, HashOwnershipPinsToModuloShardMap) {
-  // The serving stack routes seeds by ModuloShardMap and partitions
-  // nodes by GraphPartition's kHash OwnerOf; kPartitionedSubgraph relies
-  // on the two agreeing for every node and shard count. Pin it.
-  const ModuloShardMap shard_map;
+TEST(PartitionSliceTest, HashOwnershipIsNodeModuloShardCount) {
+  // Shard-cut files and `d2pr_cluster --scheme=hash` assume kHash owns
+  // node v on shard v % num_shards, for every node and shard count.
+  // Pin it.
   Rng rng(11);
   auto graph = ErdosRenyi(257, 1000, &rng);
   ASSERT_TRUE(graph.ok());
@@ -532,7 +531,7 @@ TEST(PartitionSliceTest, HashOwnershipPinsToModuloShardMap) {
                  .num_shards = static_cast<size_t>(shards)});
     ASSERT_TRUE(partition.ok());
     for (NodeId v = 0; v < graph->num_nodes(); ++v) {
-      ASSERT_EQ(partition->OwnerOf(v), shard_map.OwnerOf(v, shards))
+      ASSERT_EQ(partition->OwnerOf(v), static_cast<size_t>(v) % shards)
           << "node " << v << " shards " << shards;
     }
   }

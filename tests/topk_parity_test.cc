@@ -1,9 +1,9 @@
 // Top-k serving parity: a truncated response — whether produced by the
 // bounded-push TopKSolver, by exact-solver truncation, or through the
-// router's split-and-merge path — must agree with the exact full-vector
-// top-k. Certified entries carry a hard guarantee (membership in the
-// exact set, modulo 1e-9 near-ties); the suite holds every serving layer
-// to it across the paper's p / alpha / beta grid.
+// router — must agree with the exact full-vector top-k. Certified
+// entries carry a hard guarantee (membership in the exact set, modulo
+// 1e-9 near-ties); the suite holds every serving layer to it across the
+// paper's p / alpha / beta grid.
 
 #include <gtest/gtest.h>
 
@@ -267,44 +267,6 @@ TEST(TopKRouterTest, ReplicatedPassthroughMatchesSingleEngine) {
   EXPECT_EQ(routed->uncertainty_gap, expected->uncertainty_gap);
 }
 
-TEST(TopKRouterTest, TeleportSplitMergeAgreesWithExactTopK) {
-  // Multi-seed requests that span shards exercise the split path: the
-  // router strips top_k from the sub-requests, merges full vectors, and
-  // truncates once — so the served set must match the single-engine
-  // exact top-k, and certified entries clear the 1e-9 merge margin.
-  Rng rng(608);
-  auto graph = BarabasiAlbert(240, 3, &rng);
-  ASSERT_TRUE(graph.ok());
-  D2prEngine reference = D2prEngine::Borrowing(*graph);
-  EngineRouter router = EngineRouter::Borrowing(
-      *graph,
-      {.num_shards = 3, .policy = RoutingPolicy::kPartitionedTeleport});
-
-  RankRequest request;
-  request.tolerance = 1e-12;
-  request.max_iterations = 3000;
-  // Seeds chosen to span all three shards under the default ShardMap.
-  request.seeds = {1, 101, 201};
-  request.top_k = 10;
-
-  RankRequest full = request;
-  full.top_k = 0;
-  auto exact = reference.Rank(full);
-  ASSERT_TRUE(exact.ok());
-
-  auto routed = router.Rank(request);
-  ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-  ExpectCertifiedSubsetOfExact(*routed, exact->scores, 10);
-  // The routed set itself (certified or not) matches the exact top-10
-  // modulo near-ties.
-  const std::vector<NodeId> truth = ExactTopK(exact->scores, 10);
-  const double kth = exact->scores[static_cast<size_t>(truth.back())];
-  for (const RankedEntry& entry : routed->top) {
-    EXPECT_GE(exact->scores[static_cast<size_t>(entry.node)], kth - 1e-7)
-        << "served node " << entry.node;
-  }
-}
-
 TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
   Rng rng(609);
   auto graph = BarabasiAlbert(120, 2, &rng);
@@ -323,13 +285,12 @@ TEST(TopKRouterTest, PartitionedSubgraphRejectsTopK) {
 }
 
 TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
-  // Node 2's score sits 5e-10 below node 1's: inside a 1e-9 merge margin,
-  // far outside a zero margin.
+  // Node 2's score sits 5e-10 below node 1's: a near-tie at the cut.
   const std::vector<double> scores = {0.4, 0.3, 0.3 - 5e-10, 0.1, 0.05};
 
-  // Margin 0 (exact serving): the boundary is exact, everything selected
-  // is certified and the gap is zero.
-  TruncatedTopK strict = TruncateToTopK(scores, 2, 0.0);
+  // Exact serving: the boundary is exact, everything selected is
+  // certified and the gap is zero.
+  TruncatedTopK strict = TruncateToTopK(scores, 2);
   ASSERT_EQ(strict.entries.size(), 2u);
   EXPECT_EQ(strict.entries[0].node, 0);
   EXPECT_EQ(strict.entries[1].node, 1);
@@ -337,24 +298,15 @@ TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
   EXPECT_TRUE(strict.entries[1].certified);
   EXPECT_EQ(strict.uncertainty_gap, 0.0);
 
-  // Margin 1e-9 (router merge): node 1 no longer clears the excluded
-  // node 2 by the margin, so it is served uncertified with a nonzero gap;
-  // node 0 still clears easily.
-  TruncatedTopK merged = TruncateToTopK(scores, 2, 1e-9);
-  ASSERT_EQ(merged.entries.size(), 2u);
-  EXPECT_TRUE(merged.entries[0].certified);
-  EXPECT_FALSE(merged.entries[1].certified);
-  EXPECT_GT(merged.uncertainty_gap, 0.0);
-
   // Deterministic tie handling: equal scores order by ascending node id.
   const std::vector<double> tied = {0.25, 0.25, 0.25, 0.25};
-  TruncatedTopK ties = TruncateToTopK(tied, 2, 0.0);
+  TruncatedTopK ties = TruncateToTopK(tied, 2);
   ASSERT_EQ(ties.entries.size(), 2u);
   EXPECT_EQ(ties.entries[0].node, 0);
   EXPECT_EQ(ties.entries[1].node, 1);
 
   // k >= n returns everything, certified (nothing is excluded).
-  TruncatedTopK all = TruncateToTopK(scores, 10, 1e-9);
+  TruncatedTopK all = TruncateToTopK(scores, 10);
   ASSERT_EQ(all.entries.size(), scores.size());
   for (const RankedEntry& entry : all.entries) {
     EXPECT_TRUE(entry.certified);
@@ -362,8 +314,8 @@ TEST(TopKTruncateTest, ExactTruncationHelperCertifiesByMargin) {
   EXPECT_EQ(all.uncertainty_gap, 0.0);
 
   // k = 0 and empty inputs degrade to an empty result.
-  EXPECT_TRUE(TruncateToTopK(scores, 0, 0.0).entries.empty());
-  EXPECT_TRUE(TruncateToTopK({}, 3, 0.0).entries.empty());
+  EXPECT_TRUE(TruncateToTopK(scores, 0).entries.empty());
+  EXPECT_TRUE(TruncateToTopK({}, 3).entries.empty());
 }
 
 }  // namespace

@@ -207,11 +207,10 @@ Status ValidateServerFlags(const Flags& flags) {
 
   const std::string route = flags.GetString("route");
   if (!route.empty() && route != "replicated" && route != "least-loaded" &&
-      route != "partitioned" && route != "subgraph") {
+      route != "subgraph") {
     return Status::InvalidArgument(
         StrCat("unknown --route '", route,
-               "' (expected replicated, least-loaded, partitioned, or "
-               "subgraph)"));
+               "' (expected replicated, least-loaded, or subgraph)"));
   }
   if (flags.Has("route") && *shards < 2) {
     return Status::InvalidArgument("--route requires --shards >= 2");

@@ -12,8 +12,8 @@
 // Exercise the serving runtime (repeat the query on a worker pool):
 //   d2pr_rank --graph=edges.txt --threads=4 --repeat=64
 //
-// Shard the engine behind a router (replicated round-robin by default;
-// --route=partitioned splits personalized queries by seed ownership):
+// Shard the engine behind a replicated router (round-robin by default;
+// --route=least-loaded spreads by in-flight load):
 //   d2pr_rank --graph=edges.txt --shards=4 --threads=4 --repeat=64
 //
 // Edge-partitioned serving: shard the graph itself into per-shard
@@ -72,8 +72,7 @@ constexpr char kUsage[] =
     "  --shards=N           serve through an N-shard engine router\n"
     "                       (not combinable with --tune)\n"
     "  --route=NAME         routing policy, requires --shards:\n"
-    "                       replicated (default), least-loaded,\n"
-    "                       or partitioned\n"
+    "                       replicated (default) or least-loaded\n"
     "  --partition=SCHEME   edge-partitioned serving: split the graph\n"
     "                       into per-shard subgraphs (range or hash)\n"
     "                       and solve by block iteration with\n"
@@ -293,10 +292,10 @@ int RunOrDie(const Flags& flags) {
       router_options.num_shards = static_cast<size_t>(*shards);
       router_options.policy = partitioned
                                   ? RoutingPolicy::kPartitionedSubgraph
-                                  : route->policy;
+                                  : RoutingPolicy::kReplicated;
       router_options.partition_scheme = partition_scheme;
       router_options.partition_slice_build = slice_build;
-      router_options.strategy = route->strategy;
+      router_options.strategy = *route;
       router_options.score_cache_capacity = 256;
       // Shards share the persistent store: the first run spills each
       // matrix once, later shards and later runs map it back. The outer

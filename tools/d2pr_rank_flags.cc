@@ -35,17 +35,11 @@ Result<PersistMode> ParseCacheMode(const std::string& name) {
   return Status::InvalidArgument(StrCat("unknown --cache-mode '", name, "'"));
 }
 
-Result<RouteSpec> ParseRoute(const std::string& name) {
-  RouteSpec spec;
-  if (name.empty() || name == "replicated") return spec;
-  if (name == "least-loaded") {
-    spec.strategy = ReplicaStrategy::kLeastLoaded;
-    return spec;
+Result<ReplicaStrategy> ParseRoute(const std::string& name) {
+  if (name.empty() || name == "replicated") {
+    return ReplicaStrategy::kRoundRobin;
   }
-  if (name == "partitioned") {
-    spec.policy = RoutingPolicy::kPartitionedTeleport;
-    return spec;
-  }
+  if (name == "least-loaded") return ReplicaStrategy::kLeastLoaded;
   return Status::InvalidArgument(StrCat("unknown --route '", name, "'"));
 }
 
@@ -119,8 +113,8 @@ Status ValidateRankFlags(const Flags& flags) {
     if (flags.Has("partition")) {
       return Status::InvalidArgument(
           "--top-k is not supported with --partition (the block solve "
-          "produces one distributed full vector); use a replicated or "
-          "partitioned-teleport router");
+          "produces one distributed full vector); use a replicated "
+          "router");
     }
     if (flags.Has("scores-out")) {
       return Status::InvalidArgument(

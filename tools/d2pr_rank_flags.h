@@ -42,15 +42,9 @@ Result<SolverMethod> ParseRankMethod(const std::string& name);
 /// \brief Parses a --cache-mode value; empty means the default (rw).
 Result<PersistMode> ParseCacheMode(const std::string& name);
 
-/// \brief Routing policy + strategy named by one --route value.
-struct RouteSpec {
-  RoutingPolicy policy = RoutingPolicy::kReplicated;
-  ReplicaStrategy strategy = ReplicaStrategy::kRoundRobin;
-};
-
-/// \brief Parses a --route value ("replicated", "least-loaded",
-/// "partitioned"); empty means the default (replicated round-robin).
-Result<RouteSpec> ParseRoute(const std::string& name);
+/// \brief Parses a --route value ("replicated" or "least-loaded") into
+/// the replicated router's strategy; empty means round-robin.
+Result<ReplicaStrategy> ParseRoute(const std::string& name);
 
 /// \brief Validates the full flag set of d2pr_rank: flag names, value
 /// vocabularies (method/route/cache-mode/partition), numeric ranges, and

@@ -37,9 +37,8 @@ constexpr char kUsage[] =
     "  --threads=N          solver worker threads (default 4)\n"
     "  --shards=N           serve through an N-shard engine router\n"
     "  --route=NAME         routing policy, requires --shards >= 2:\n"
-    "                       replicated (default), least-loaded,\n"
-    "                       partitioned (seed ownership), or subgraph\n"
-    "                       (edge-partitioned block solves)\n"
+    "                       replicated (default), least-loaded, or\n"
+    "                       subgraph (edge-partitioned block solves)\n"
     "  --max-queue=N        admission bound: shed with Unavailable once\n"
     "                       this many solves are queued (default 256)\n"
     "  --coalesce=BOOL      join identical in-flight requests\n"
@@ -194,8 +193,6 @@ int Run(const Flags& flags) {
     router_options.worker_threads = threads;
     if (route == "least-loaded") {
       router_options.strategy = ReplicaStrategy::kLeastLoaded;
-    } else if (route == "partitioned") {
-      router_options.policy = RoutingPolicy::kPartitionedTeleport;
     } else if (route == "subgraph") {
       router_options.policy = RoutingPolicy::kPartitionedSubgraph;
     }
